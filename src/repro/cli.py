@@ -144,9 +144,9 @@ def _cmd_figure(args) -> int:
     )
 
     name = args.name
-    scheduler = _make_scheduler(args)
     if name == "12_13":
-        fig = figure_12_13(n_ops=args.ops, scheduler=scheduler)
+        with _make_scheduler(args) as scheduler:
+            fig = figure_12_13(n_ops=args.ops, scheduler=scheduler)
         print(render_best_intervals(fig))
         print()
         print(render_interval_table(table_3(fig)))
@@ -160,7 +160,8 @@ def _cmd_figure(args) -> int:
         known = ", ".join([*_FIGURES, "12_13"])
         print(f"unknown figure {name!r}; known: {known}", file=sys.stderr)
         return 2
-    fig = builder(n_ops=args.ops, scheduler=scheduler)
+    with _make_scheduler(args) as scheduler:
+        fig = builder(n_ops=args.ops, scheduler=scheduler)
     print(render_comparison(fig))
     if args.json:
         save_json(figure_to_dict(fig), args.json)
@@ -256,30 +257,32 @@ def _cmd_sweep(args) -> int:
             budget = DEFAULT_ERROR_BUDGET.scaled(
                 args.error_budget / DEFAULT_ERROR_BUDGET.net_savings_pp
             )
-        results, report = surrogate_sweep(
-            args.benchmark,
-            technique,
-            intervals=intervals or SWEEP_INTERVALS,
-            l2_latencies=(args.l2,),
-            temp_c=args.temp,
-            temps_c=temps_c,
-            n_ops=args.ops,
-            budget=budget,
-            scheduler=_make_scheduler(args),
-        )
+        with _make_scheduler(args) as scheduler:
+            results, report = surrogate_sweep(
+                args.benchmark,
+                technique,
+                intervals=intervals or SWEEP_INTERVALS,
+                l2_latencies=(args.l2,),
+                temp_c=args.temp,
+                temps_c=temps_c,
+                n_ops=args.ops,
+                budget=budget,
+                scheduler=scheduler,
+            )
     else:
         kwargs = {} if intervals is None else {"intervals": intervals}
-        results = interval_sweep(
-            args.benchmark,
-            technique,
-            l2_latency=args.l2,
-            temp_c=args.temp,
-            n_ops=args.ops,
-            scheduler=_make_scheduler(args),
-            temps_c=temps_c,
-            engine=args.engine,
-            **kwargs,
-        )
+        with _make_scheduler(args) as scheduler:
+            results = interval_sweep(
+                args.benchmark,
+                technique,
+                l2_latency=args.l2,
+                temp_c=args.temp,
+                n_ops=args.ops,
+                scheduler=scheduler,
+                temps_c=temps_c,
+                engine=args.engine,
+                **kwargs,
+            )
     with_temp = temps_c is not None
     rows = [
         ([f"{r.temp_c:5.1f}"] if with_temp else [])

@@ -11,6 +11,13 @@ results, in order, with five behaviours layered on top of plain execution:
 3. **Parallelism** — misses run on a ``ProcessPoolExecutor`` with a
    configurable worker count and an optional per-job timeout.  Runs are
    seed-deterministic, so parallel results are bit-identical to serial.
+   One pool serves the scheduler's whole lifetime: it is built by the
+   first batch with two or more misses and shut down by :meth:`close`
+   (or leaving a ``with`` block), so workers keep their content-keyed
+   memos (k_design surfaces, traces, warmup snapshots, baselines,
+   leakage models) from one batch to the next.  Every such memo is a
+   pure function of its key, so what a worker remembers never changes a
+   result.
 4. **Resilience** — a pool that cannot start (sandboxed /dev/shm, missing
    semaphores) degrades to serial execution.  Jobs whose worker raised
    are retried serially, a bounded number of times, before the batch
@@ -19,8 +26,10 @@ results, in order, with five behaviours layered on top of plain execution:
    accounted as a timeout, not a retry — the same job is never counted
    in both buckets (the event log mirrors this: abandoned jobs emit
    ``run_requeued``, failed jobs emit ``run_retried``).  The abandoned
-   pool is shut down with ``cancel_futures=True`` so queued work never
-   runs behind our back.
+   pool is shut down with ``cancel_futures=True`` and its workers are
+   killed, so neither queued nor wedged work runs behind our back; a pool
+   broken by a dead worker is dropped too, and the next batch builds a
+   fresh one.
 5. **Observability** — with :mod:`repro.obs` enabled, every run start /
    finish / failure / retry / cache hit lands in the campaign event log
    (with worker pid, wall/CPU time and peak RSS measured in the worker),
@@ -42,6 +51,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -105,6 +115,16 @@ def execute_spec_observed(spec: RunSpec) -> tuple[NetSavingsResult, dict]:
 class Scheduler:
     """Executes batches of RunSpecs; serial by default, parallel on demand.
 
+    A parallel scheduler owns a worker pool from its first batch with two
+    or more misses until :meth:`close`; use it as a context manager so the
+    workers are reaped when the caller is done::
+
+        with Scheduler(max_workers=4, store=store) as sched:
+            results = sched.run(specs)
+
+    Workers fork when the pool is built, so they keep the :mod:`repro.obs`
+    state of that moment (whether runs record time series) for its life.
+
     Args:
         max_workers: Process count.  1 (default) never forks — the whole
             batch runs in-process, which is also the fallback path.
@@ -112,8 +132,8 @@ class Scheduler:
             updated after every execution.
         timeout_s: Per-job budget; must be positive.  A batch whose
             stragglers exceed the aggregate budget (``timeout_s * jobs``)
-            abandons the pool (cancelling everything still queued) and
-            runs the abandoned jobs serially.
+            abandons the pool (cancelling everything still queued and
+            killing its workers) and runs the abandoned jobs serially.
         retries: How many serial retry rounds a *failed* job gets.
         metrics: Optional campaign-wide metrics aggregator.
         progress: Default progress callback for :meth:`run` (a per-call
@@ -154,10 +174,26 @@ class Scheduler:
         self.progress = progress
         self.heartbeat_s = heartbeat_s
         self.single_flight = single_flight
+        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for its workers to exit.
+
+        Idempotent; a later :meth:`run` builds a new pool if it needs one.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def run(
         self,
@@ -436,9 +472,16 @@ class Scheduler:
         results: list,
         note: Callable[[str], None],
     ) -> tuple[list[tuple[int, BaseException]], list[int]]:
-        """Pool execution; returns ``(failed, abandoned_slots)``."""
+        """Pool execution; returns ``(failed, abandoned_slots)``.
+
+        Runs on the scheduler's pool, built here on first use.  A pool this
+        batch abandons is dropped at once (:meth:`_discard_pool`).  A worker
+        that dies breaks the pool: its jobs fail with ``BrokenProcessPool``
+        (and are retried serially), and the next submission finds the pool
+        broken and replaces it.
+        """
         try:
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
+            executor = self._executor()
         except (OSError, ValueError, ImportError) as exc:
             note(f"process pool unavailable ({exc!r}); running serially")
             return self._run_serial(specs, todo, results, note), []
@@ -451,11 +494,15 @@ class Scheduler:
         start = time.monotonic()
         budget = None if self.timeout_s is None else self.timeout_s * len(todo)
         deadline = None if budget is None else start + budget
-        wait_at_shutdown = True
         try:
-            futures = {
-                executor.submit(entry, specs[i]): i for i in todo
-            }
+            try:
+                futures = {executor.submit(entry, specs[i]): i for i in todo}
+            except BrokenProcessPool:
+                # A worker died in an earlier batch, or while the pool sat
+                # idle between batches (the OOM killer, a stray signal).
+                self._discard_pool()
+                executor = self._executor()
+                futures = {executor.submit(entry, specs[i]): i for i in todo}
             if observed:
                 for i in todo:
                     _obs.emit(
@@ -517,7 +564,7 @@ class Scheduler:
                     last_progress = now
                 if pending and deadline is not None and now >= deadline:
                     # Stragglers blew the batch budget: abandon the pool
-                    # (cancelling everything still queued, not waiting on
+                    # (cancelling everything still queued, killing
                     # possibly-wedged workers) and hand the outstanding
                     # slots back for one serial pass.
                     abandoned = sorted(futures[f] for f in pending)
@@ -535,7 +582,7 @@ class Scheduler:
                                 budget_s=budget,
                             )
                             _metrics.record_run_timeout()
-                    wait_at_shutdown = False
+                    self._discard_pool()
                     break
                 if (
                     pending
@@ -561,11 +608,36 @@ class Scheduler:
                     )
                     last_beat = now
         except BaseException:
-            wait_at_shutdown = False
+            self._discard_pool()
             raise
-        finally:
-            executor.shutdown(wait=wait_at_shutdown, cancel_futures=True)
         return failed, abandoned
+
+    def _executor(self) -> ProcessPoolExecutor:
+        """The scheduler's worker pool, built on first use."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        return self._pool
+
+    def _discard_pool(self) -> None:
+        """Drop the pool without waiting for it, killing its workers.
+
+        ``shutdown(wait=False, cancel_futures=True)`` cancels queued jobs
+        but leaves a wedged worker running, and the exit hook of
+        :mod:`concurrent.futures` then holds the interpreter until that
+        job ends — forever, if it hangs.  Python 3.11 has no public
+        ``terminate_workers()``, so the worker processes are read off the
+        pool before shutdown forgets them, then sent SIGKILL (a SIGTERM
+        handler inherited from the parent would wait for a bytecode
+        boundary a job stuck in native code never reaches).  The pool's
+        manager thread sees them die and reaps them.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.kill()
 
     def _commit(
         self, spec: RunSpec, result: NetSavingsResult, results: list, slot: int

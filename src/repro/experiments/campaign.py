@@ -136,10 +136,12 @@ def run_campaign(
     started = time.time()
     status = "failed"
     try:
-        outcome = _run_campaign_body(
-            out, n_ops, extra, result, note, store, metrics, scheduler,
-            jobs=jobs,
-        )
+        # Closing the scheduler reaps its pool workers before we return.
+        with scheduler:
+            outcome = _run_campaign_body(
+                out, n_ops, extra, result, note, store, metrics, scheduler,
+                jobs=jobs,
+            )
         status = "ok"
         return outcome
     finally:

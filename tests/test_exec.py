@@ -8,13 +8,19 @@ through a parallel scheduler.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.exec import ExecutionMetrics, ResultStore, RunSpec, Scheduler
+from repro.exec import scheduler as sched_mod
 from repro.exec.scheduler import SchedulerError, execute_spec
 from repro.leakctl.energy import NetSavingsResult
 
@@ -24,6 +30,64 @@ FAST = dict(l2_latency=5, n_ops=1500)
 def assert_results_identical(a: NetSavingsResult, b: NetSavingsResult) -> None:
     for f in fields(NetSavingsResult):
         assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+# Pool entry points for the pool-lifetime tests.  They must be module-level
+# so the pool can pickle them by name; each behaves like ``execute_spec``
+# in the coordinating process, where the scheduler's serial passes run.
+
+# Where a wedged worker records its pid (set by the test before the fork).
+_WEDGE_DIR: str | None = None
+
+
+def _worker_pid(spec: RunSpec) -> int:
+    return os.getpid()
+
+
+def _exit_in_worker(spec: RunSpec) -> NetSavingsResult:
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return spec.execute()
+
+
+def _wedge_in_worker(spec: RunSpec) -> NetSavingsResult:
+    if multiprocessing.parent_process() is not None:
+        Path(_WEDGE_DIR, str(os.getpid())).touch()
+        time.sleep(60)
+    return spec.execute()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_gone(pids: set[int], timeout_s: float) -> set[int]:
+    """Poll until every pid has exited and been reaped; returns the rest."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        alive = {pid for pid in pids if _alive(pid)}
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ProcessPoolExecutor the scheduler builds, in order."""
+    real = sched_mod.ProcessPoolExecutor
+    built: list = []
+
+    def counting_pool(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        built.append(pool)
+        return pool
+
+    monkeypatch.setattr(sched_mod, "ProcessPoolExecutor", counting_pool)
+    return built
 
 
 class TestRunSpec:
@@ -244,7 +308,134 @@ class TestPoolTimeout:
         assert metrics.to_dict()["timeouts"] == 3
 
 
+class TestPoolLifetime:
+    """One pool per Scheduler: built by the first batch with two or more
+    misses, reused by later batches, reaped by close(), and replaced after
+    it was abandoned or broken."""
+
+    def _specs(self):
+        return [
+            RunSpec(benchmark=b, technique=t, **FAST)
+            for b in ("gcc", "gzip")
+            for t in ("drowsy", "gated-vss")
+        ]
+
+    def test_batches_share_one_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(sched_mod, "execute_spec", _worker_pid)
+        specs = self._specs()
+        with Scheduler(max_workers=2) as sched:
+            pids = set(sched.run(specs[:2])) | set(sched.run(specs[2:]))
+        assert len(pools) == 1
+        assert len(pids) <= 2 and os.getpid() not in pids
+        assert not any(_alive(pid) for pid in pids)  # reaped by __exit__
+
+    def test_store_hits_build_no_pool(self, pools, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        specs = self._specs()
+        Scheduler(max_workers=1, store=store).run(specs)
+        with Scheduler(max_workers=2, store=store) as sched:
+            sched.run(specs)
+        assert pools == []
+
+    def test_close_reaps_workers(self, pools, monkeypatch):
+        monkeypatch.setattr(sched_mod, "execute_spec", _worker_pid)
+        sched = Scheduler(max_workers=2)
+        pids = set(sched.run(self._specs()))
+        assert pids and all(_alive(pid) for pid in pids)  # kept between batches
+        sched.close()
+        assert not any(_alive(pid) for pid in pids)
+        sched.close()  # idempotent
+        assert len(pools) == 1
+
+    def test_broken_pool_is_replaced(self, pools, monkeypatch):
+        specs = self._specs()
+        serial = Scheduler(max_workers=1).run(specs)
+        metrics = ExecutionMetrics()
+        with Scheduler(max_workers=2, metrics=metrics) as sched:
+            # Every worker dies on its first job: the pool breaks, and its
+            # jobs are retried serially.
+            monkeypatch.setattr(sched_mod, "execute_spec", _exit_in_worker)
+            broken = sched.run(specs)
+            # A worker can die before the last submit; the batch then
+            # replaces the pool once more, and that one breaks too.
+            built = len(pools)
+            monkeypatch.setattr(sched_mod, "execute_spec", execute_spec)
+            healed = sched.run(specs)
+        assert built >= 1 and len(pools) == built + 1
+        assert metrics.retries == len(specs) and metrics.failures == 0
+        for a, b, c in zip(serial, broken, healed):
+            assert_results_identical(a, b)
+            assert_results_identical(a, c)
+
+    def test_pool_whose_idle_worker_died_is_replaced(self, pools, monkeypatch):
+        monkeypatch.setattr(sched_mod, "execute_spec", _worker_pid)
+        metrics = ExecutionMetrics()
+        with Scheduler(max_workers=2, metrics=metrics) as sched:
+            pids = set(sched.run(self._specs()))
+            os.kill(next(iter(pids)), signal.SIGKILL)
+            # The pool notices, marks itself broken, then reaps its workers.
+            assert _wait_gone(pids, timeout_s=10.0) == set()
+            again = set(sched.run(self._specs()))
+        assert len(pools) == 2
+        assert not again & pids
+        assert metrics.retries == 0 and metrics.failures == 0
+
+    def test_abandoned_pool_workers_are_killed(
+        self, pools, monkeypatch, tmp_path
+    ):
+        """A job wedged past the batch budget does not outlive the batch:
+        its worker is killed, and the next batch gets a fresh pool."""
+        specs = self._specs()[:2]
+        monkeypatch.setattr(f"{__name__}._WEDGE_DIR", str(tmp_path))
+        monkeypatch.setattr(sched_mod, "execute_spec", _wedge_in_worker)
+        metrics = ExecutionMetrics()
+        # Budget: 1 s per job x 2 jobs; every worker job sleeps 60 s.
+        sched = Scheduler(max_workers=2, timeout_s=1.0, metrics=metrics)
+        try:
+            started = time.monotonic()
+            abandoned = sched.run(specs)
+            assert time.monotonic() - started < 30.0
+            assert metrics.timeouts == len(specs)
+            wedged = {int(path.name) for path in tmp_path.iterdir()}
+            assert wedged
+            assert _wait_gone(wedged, timeout_s=5.0) == set()
+            monkeypatch.setattr(sched_mod, "execute_spec", execute_spec)
+            again = sched.run(specs)
+        finally:
+            sched.close()
+        assert len(pools) == 2
+        serial = Scheduler(max_workers=1).run(specs)
+        for a, b, c in zip(serial, abandoned, again):
+            assert_results_identical(a, b)
+            assert_results_identical(a, c)
+
+
 class TestCampaignIntegration:
+    def test_artefacts_identical_at_j1_and_j2(self, tmp_path, monkeypatch):
+        """Every artefact of a whole campaign is byte-equal at -j1 and -j2,
+        although pool workers carry their memos from batch to batch."""
+        from repro.experiments.campaign import run_campaign
+
+        def artefacts(jobs: int) -> dict[str, bytes]:
+            # The same relative out dir, so SUMMARY.txt's header matches.
+            (tmp_path / f"j{jobs}").mkdir()
+            monkeypatch.chdir(tmp_path / f"j{jobs}")
+            run_campaign("out", quick=True, benchmarks=("gcc",), jobs=jobs)
+            # campaign_metrics.json holds timings, and so does metrics.json,
+            # the observability registry snapshot (not an artefact).
+            return {
+                path.name: path.read_bytes()
+                for path in Path("out").iterdir()
+                if path.suffix in (".txt", ".json")
+                and path.name not in ("campaign_metrics.json", "metrics.json")
+            }
+
+        serial, parallel = artefacts(1), artefacts(2)
+        assert "SUMMARY.txt" in serial and "fig12_13_best_interval.json" in serial
+        assert serial.keys() == parallel.keys()
+        for name in serial:
+            assert serial[name] == parallel[name], name
+
     def test_warm_campaign_rerun_hits_store(self, tmp_path):
         """Acceptance: a second reproduce into the same out dir is served
         almost entirely from the result store."""
