@@ -4,22 +4,18 @@ from repro.bench.core import (
     BATCH_SPEEDUP_FLOOR,
     BENCH_SCHEMA,
     SCENARIOS,
-    SURROGATE_SPEEDUP_FLOOR,
     batch_comparison,
     check_regression,
     reference_comparison,
     run_bench,
-    surrogate_comparison,
 )
 
 __all__ = [
     "BATCH_SPEEDUP_FLOOR",
     "BENCH_SCHEMA",
     "SCENARIOS",
-    "SURROGATE_SPEEDUP_FLOOR",
     "batch_comparison",
     "check_regression",
     "reference_comparison",
     "run_bench",
-    "surrogate_comparison",
 ]

@@ -21,8 +21,8 @@ Two kinds of numbers come out:
 Timing protocol: every scenario gets one untimed warmup iteration (which
 also warms the analytic memo layers), then N timed iterations with the
 scenario's ``between`` hook (untimed) restoring cold state — e.g. dropping
-memoised baseline summaries so the baseline simulation is re-run, while
-leakage models stay warm.  Minimum of N is reported: scheduling noise only
+memoised simulation summaries so the baseline and technique simulations
+re-run, while leakage models stay warm.  Minimum of N is reported: scheduling noise only
 ever adds time.
 """
 
@@ -54,12 +54,6 @@ BATCH_SPEEDUP_FLOOR = 10.0
 # a simulation run by at most this fraction.  Absolute, like the batch
 # floor — the enabled/disabled ratio transfers across machines.
 OBS_OVERHEAD_CEILING = 0.03
-
-# CI gate: the calibrated surrogate tier must evaluate a sweep grid at
-# least this much cheaper than the cycle engine would (absolute ratio,
-# measured in one process; the comparison deliberately underestimates the
-# cycle side, so the real gap is larger).
-SURROGATE_SPEEDUP_FLOOR = 25.0
 
 _N_OPS = 20_000  # the standard figure-point run length
 
@@ -95,7 +89,7 @@ def _figure_point_scenario(
     quick: bool = False,
 ) -> Scenario:
     from repro.experiments.runner import (
-        clear_baseline_cache,
+        clear_simulation_cache,
         figure_point,
         technique_by_name,
     )
@@ -115,7 +109,7 @@ def _figure_point_scenario(
         # A figure point simulates the baseline and the technique run.
         ops_per_iteration=2 * _N_OPS,
         run=run,
-        between=clear_baseline_cache,
+        between=clear_simulation_cache,
         quick=quick,
     )
 
@@ -419,115 +413,6 @@ def obs_overhead_comparison(*, repeats: int = 3, n_ops: int = _N_OPS) -> dict:
     }
 
 
-def surrogate_comparison(*, repeats: int = 3) -> dict:
-    """Calibrated surrogate grid evaluation vs. the cycle engine.
-
-    Times the committed surrogate serving a 144-point sweep cube (the
-    full anchored plane x 3 temperatures x 2 supplies) against the cycle
-    engine's cost for the same cube, estimated as *one warm figure point
-    times the number of simulation-plane points* — an underestimate (it
-    ignores the per-L2 baseline simulations and all but one analytic
-    reduction), so the reported ``speedup`` is a lower bound.  CI gates it
-    against the absolute :data:`SURROGATE_SPEEDUP_FLOOR`.
-
-    The same pass verifies the trust contract on live numbers: the timed
-    cycle point must agree with its surrogate-served twin inside the
-    documented :class:`~repro.cpu.surrogate.ErrorBudget`, and one forced
-    out-of-envelope point must come back bit-identical to a direct cycle
-    run (``fallback_bit_identical``).
-    """
-    from repro.cpu.surrogate import (
-        DEFAULT_ERROR_BUDGET,
-        GridPoint,
-        committed_model,
-        surrogate_sweep,
-    )
-    from repro.experiments.runner import figure_point, technique_by_name
-
-    model = committed_model()
-    if model is None:
-        return {"error": "committed surrogate calibration artifact missing"}
-    benchmark, technique_name = "gcc", "drowsy"
-    technique = technique_by_name(technique_name)
-    intervals = model.config.intervals
-    latencies = model.config.l2_latencies
-    temps_c = (60.0, 85.0, 110.0)
-    vdds = (0.85, 0.95)
-    plane_points = len(intervals) * len(latencies)
-    grid_points = plane_points * len(temps_c) * len(vdds)
-    perf_counter = time.perf_counter
-
-    def grid() -> None:
-        model.evaluate_grid(
-            benchmark,
-            technique,
-            intervals=intervals,
-            l2_latencies=latencies,
-            temps_c=temps_c,
-            vdds=vdds,
-        )
-
-    grid()  # warmup: physics tables, per-(T, V) models, plane tables
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        grid()
-        times.append(perf_counter() - t0)
-    surrogate_s = min(times)
-
-    # Cycle leg: a warm figure point (baseline memoised, trace memoised —
-    # the technique simulation plus one analytic reduction is what repeats
-    # per plane point in an all-cycle campaign).
-    probe = dict(l2_latency=11, temp_c=110.0, decay_interval=4096)
-    reference = figure_point(benchmark, technique, **probe)  # warmup
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        reference = figure_point(benchmark, technique, **probe)
-        times.append(perf_counter() - t0)
-    cycle_point_s = min(times)
-    cycle_grid_est_s = cycle_point_s * plane_points
-
-    # Trust contract on live numbers: budget agreement at the probe ...
-    served = model.evaluate(
-        benchmark, technique_name, GridPoint(4096, 11, 110.0, 0.9)
-    )
-    budget_violations = DEFAULT_ERROR_BUDGET.violations(served, reference)
-    # ... and bit-identical fallback on a forced out-of-envelope point.
-    fallback_results, fallback_report = surrogate_sweep(
-        benchmark,
-        technique,
-        intervals=(3000,),  # off-anchor: must fall back
-        l2_latencies=(11,),
-        temp_c=110.0,
-        spot_checks=0,
-    )
-    direct = figure_point(
-        benchmark, technique, l2_latency=11, temp_c=110.0, decay_interval=3000
-    )
-    return {
-        "scenario": (
-            f"{benchmark}/{technique_name} sweep cube: {len(intervals)} "
-            f"intervals x {len(latencies)} L2 x {len(temps_c)} T x "
-            f"{len(vdds)} Vdd"
-        ),
-        "grid_points": grid_points,
-        "plane_points": plane_points,
-        "surrogate_seconds": surrogate_s,
-        "cycle_point_seconds": cycle_point_s,
-        "cycle_grid_seconds_est": cycle_grid_est_s,
-        "speedup": cycle_grid_est_s / surrogate_s,
-        "points_per_s": grid_points / surrogate_s,
-        "within_budget": not budget_violations,
-        "budget_violations": budget_violations,
-        "net_savings_err_pp": abs(
-            served.net_savings_pct - reference.net_savings_pct
-        ),
-        "fallbacks_forced": fallback_report.fallbacks,
-        "fallback_bit_identical": fallback_results[0] == direct,
-    }
-
-
 def run_bench(
     *,
     quick: bool = False,
@@ -591,18 +476,6 @@ def run_bench(
         f"with the metrics registry fed too"
     )
 
-    say("bench: surrogate sweep tier (calibrated grid vs cycle engine) ...")
-    report["surrogate"] = surrogate_comparison(repeats=min(repeats, 3))
-    surrogate = report["surrogate"]
-    if "speedup" in surrogate:
-        say(
-            f"  {surrogate['speedup']:.0f}x cheaper on a "
-            f"{surrogate['grid_points']}-point grid "
-            f"(budget ok: {surrogate['within_budget']}, fallback "
-            f"bit-identical: {surrogate['fallback_bit_identical']})"
-        )
-    else:
-        say(f"  skipped: {surrogate.get('error')}")
     return report
 
 
@@ -664,32 +537,6 @@ def check_regression(
             f"the {OBS_OVERHEAD_CEILING:.0%} ceiling (live-monitoring "
             f"feeds must stay off the hot path)"
         )
-
-    # Surrogate-tier gates: absolute speedup floor plus the live trust
-    # checks (error budget, bit-identical fallback) the comparison ran.
-    surrogate = report.get("surrogate")
-    if surrogate is None:
-        if baseline.get("surrogate"):
-            failures.append("report is missing the surrogate comparison")
-    elif "error" in surrogate:
-        failures.append(f"surrogate comparison failed: {surrogate['error']}")
-    else:
-        speedup = surrogate.get("speedup")
-        if speedup is not None and speedup < SURROGATE_SPEEDUP_FLOOR:
-            failures.append(
-                f"surrogate sweep speedup {speedup:.1f}x < "
-                f"{SURROGATE_SPEEDUP_FLOOR:.0f}x floor over the cycle engine"
-            )
-        if surrogate.get("within_budget") is False:
-            failures.append(
-                "surrogate drifted outside the error budget: "
-                + "; ".join(surrogate.get("budget_violations", []))
-            )
-        if surrogate.get("fallback_bit_identical") is False:
-            failures.append(
-                "surrogate fallback result differs from the direct cycle "
-                "run (must be bit-identical)"
-            )
     return failures
 
 

@@ -207,19 +207,21 @@ def _cmd_run(args) -> int:
     print(title)
     print(render_table(["metric", "value"], rows))
     if args.power:
-        from repro.experiments.runner import run_once
-        from repro.cpu.config import MachineConfig
+        from repro.experiments.runner import simulation_summary
+        from repro.tech.nodes import PAPER_VDD
 
-        out = run_once(
+        # The technique run figure_point just simulated, from its memo.
+        summary = simulation_summary(
             args.benchmark,
-            technique=technique,
-            machine=MachineConfig().with_l2_latency(args.l2),
+            technique,
+            l2_latency=args.l2,
             decay_interval=args.interval,
             adaptive=args.adaptive,
             n_ops=args.ops,
             target=args.target,
+            engine=args.engine,
         )
-        report = out.accountant.power_report()
+        report = summary.accountant(PAPER_VDD).power_report()
         print()
         print("dynamic power breakdown (W):")
         print(
@@ -241,48 +243,19 @@ def _cmd_sweep(args) -> int:
         if args.intervals
         else None
     )
-    if args.error_budget is not None and args.engine != "surrogate":
-        print(
-            "error: --error-budget only applies to --engine surrogate",
-            file=sys.stderr,
+    kwargs = {} if intervals is None else {"intervals": intervals}
+    with _make_scheduler(args) as scheduler:
+        results = interval_sweep(
+            args.benchmark,
+            technique,
+            l2_latency=args.l2,
+            temp_c=args.temp,
+            n_ops=args.ops,
+            scheduler=scheduler,
+            temps_c=temps_c,
+            engine=args.engine,
+            **kwargs,
         )
-        return 2
-    report = None
-    if args.engine == "surrogate":
-        from repro.cpu.surrogate import DEFAULT_ERROR_BUDGET, surrogate_sweep
-        from repro.experiments.runner import SWEEP_INTERVALS
-
-        budget = DEFAULT_ERROR_BUDGET
-        if args.error_budget is not None:
-            budget = DEFAULT_ERROR_BUDGET.scaled(
-                args.error_budget / DEFAULT_ERROR_BUDGET.net_savings_pp
-            )
-        with _make_scheduler(args) as scheduler:
-            results, report = surrogate_sweep(
-                args.benchmark,
-                technique,
-                intervals=intervals or SWEEP_INTERVALS,
-                l2_latencies=(args.l2,),
-                temp_c=args.temp,
-                temps_c=temps_c,
-                n_ops=args.ops,
-                budget=budget,
-                scheduler=scheduler,
-            )
-    else:
-        kwargs = {} if intervals is None else {"intervals": intervals}
-        with _make_scheduler(args) as scheduler:
-            results = interval_sweep(
-                args.benchmark,
-                technique,
-                l2_latency=args.l2,
-                temp_c=args.temp,
-                n_ops=args.ops,
-                scheduler=scheduler,
-                temps_c=temps_c,
-                engine=args.engine,
-                **kwargs,
-            )
     with_temp = temps_c is not None
     rows = [
         ([f"{r.temp_c:5.1f}"] if with_temp else [])
@@ -306,99 +279,6 @@ def _cmd_sweep(args) -> int:
     )
     best = max(results, key=lambda r: r.net_savings_pct)
     print(f"best interval: {best.decay_interval} ({best.net_savings_pct:.2f} %)")
-    if report is not None:
-        print(
-            f"surrogate: {report.served}/{report.total} points served, "
-            f"{report.fallbacks} cycle fallback(s), "
-            f"{report.spot_checks} spot-check(s), "
-            f"{report.spot_check_failures} spot-check failure(s)"
-        )
-        if report.fallback_reasons:
-            reasons = ", ".join(
-                f"{name}: {count}"
-                for name, count in sorted(report.fallback_reasons.items())
-            )
-            print(f"fallback reasons: {reasons}")
-    return 0
-
-
-def _cmd_surrogate(args) -> int:
-    from repro.cpu.surrogate import (
-        CalibrationConfig,
-        SurrogateModel,
-        committed_artifact_path,
-    )
-
-    if args.surrogate_cmd == "calibrate":
-        benchmarks = tuple(args.benchmarks.split(","))
-        unknown = [b for b in benchmarks if b not in BENCHMARK_NAMES]
-        if unknown:
-            print(
-                f"unknown benchmark(s): {', '.join(unknown)}; known: "
-                + ", ".join(BENCHMARK_NAMES),
-                file=sys.stderr,
-            )
-            return 2
-        techniques = tuple(args.techniques.split(","))
-        try:
-            for name in techniques:
-                technique_by_name(name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        config = CalibrationConfig(
-            intervals=tuple(int(i) for i in args.intervals.split(",")),
-            l2_latencies=tuple(int(l) for l in args.l2s.split(",")),
-            n_ops=args.ops,
-            seed=args.seed,
-        )
-        model = SurrogateModel.calibrate(
-            benchmarks,
-            techniques,
-            config=config,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-        out = args.out or committed_artifact_path()
-        model.save(out)
-        payload = model.to_payload()
-        print(f"calibrated {len(payload['entries'])} (benchmark, technique) pairs")
-        print(f"anchors: intervals={config.intervals} l2={config.l2_latencies}")
-        print(f"artifact written to {out}")
-        print(f"fingerprint: {payload['fingerprint']}")
-        return 0
-
-    # info
-    path = args.artifact or committed_artifact_path()
-    try:
-        model = SurrogateModel.load(path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
-        return 2
-    payload = model.to_payload()
-    config = model.config
-    print(f"surrogate calibration artifact: {path}")
-    print(f"schema: {payload['schema']}  code version: {payload['code_version']}")
-    print(
-        f"anchors: intervals={config.intervals} l2={config.l2_latencies} "
-        f"(n_ops={config.n_ops}, seed={config.seed})"
-    )
-    env = payload["envelope"]
-    print(
-        f"envelope: T in {tuple(env['temp_c'])} C, Vdd in {tuple(env['vdd'])} V, "
-        "anchor-exact on the interval/latency axes"
-    )
-    rows = []
-    for key in sorted(payload["entries"]):
-        exposure = payload["entries"][key]["exposure"]
-        rows.append(
-            [
-                key,
-                f"{exposure['baseline_ipc']:.3f}",
-                f"{exposure['mem_exposure']:.3f}",
-            ]
-        )
-    print(render_table(["benchmark/technique", "base IPC", "mem exposure"], rows))
-    print(f"fingerprint: {payload['fingerprint']}")
     return 0
 
 
@@ -498,9 +378,9 @@ def _cmd_profile(args) -> int:
         # Untimed first pass: the profile then shows the simulation hot
         # path instead of one-off analytic derivations.
         figure_point(args.benchmark, technique, **kwargs)
-        from repro.experiments.runner import clear_baseline_cache
+        from repro.experiments.runner import clear_simulation_cache
 
-        clear_baseline_cache()
+        clear_simulation_cache()
     profiler = cProfile.Profile()
     profiler.enable()
     figure_point(args.benchmark, technique, **kwargs)
@@ -761,10 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the Wattch-style dynamic power breakdown",
     )
     run.add_argument(
-        "--engine", choices=("ooo", "fast", "surrogate"), default="ooo",
-        help="timing tier: cycle-level out-of-order, fast analytical, or "
-        "the calibrated surrogate (serves from the committed calibration, "
-        "cycle fallback outside its envelope)",
+        "--engine", choices=("ooo", "fast"), default="ooo",
+        help="timing engine: cycle-level out-of-order or fast analytical",
     )
     run.add_argument("--ops", type=int, default=20_000)
     run.set_defaults(func=_cmd_run)
@@ -784,58 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated decay intervals (default: the standard grid)",
     )
     sweep.add_argument(
-        "--engine", choices=("ooo", "fast", "surrogate"), default="ooo",
-        help="timing tier for every point; 'surrogate' serves the grid "
-        "from the calibration with automatic cycle-engine fallback",
-    )
-    sweep.add_argument(
-        "--error-budget", type=_positive_float, default=None,
-        help="surrogate net-savings tolerance in percentage points; "
-        "scales the whole documented error budget proportionally "
-        "(default 0.5 pp; surrogate engine only)",
+        "--engine", choices=("ooo", "fast"), default="ooo",
+        help="timing engine for every point",
     )
     sweep.add_argument("--ops", type=int, default=20_000)
     _add_exec_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    surrogate = sub.add_parser(
-        "surrogate", help="manage the surrogate-tier calibration artifact"
-    )
-    surrogate_sub = surrogate.add_subparsers(dest="surrogate_cmd", required=True)
-    cal = surrogate_sub.add_parser(
-        "calibrate", help="run the cycle-engine anchors and write the artifact"
-    )
-    cal.add_argument(
-        "--benchmarks", default="gcc,mcf",
-        help="comma-separated benchmarks to calibrate (default: gcc,mcf)",
-    )
-    cal.add_argument(
-        "--techniques", default="drowsy,gated-vss",
-        help="comma-separated techniques (default: drowsy,gated-vss)",
-    )
-    cal.add_argument(
-        "--intervals", default="1024,2048,4096,8192,16384,32768",
-        help="comma-separated anchor decay intervals (>= 2, ascending)",
-    )
-    cal.add_argument(
-        "--l2s", default="5,8,11,17",
-        help="comma-separated anchor L2 latencies (>= 2, ascending)",
-    )
-    cal.add_argument("--ops", type=_positive_int, default=20_000)
-    cal.add_argument("--seed", type=_positive_int, default=1)
-    cal.add_argument(
-        "--out", default=None,
-        help="artifact path (default: the committed package artifact)",
-    )
-    cal.set_defaults(func=_cmd_surrogate)
-    info = surrogate_sub.add_parser(
-        "info", help="inspect a calibration artifact"
-    )
-    info.add_argument(
-        "artifact", nargs="?", default=None,
-        help="artifact path (default: the committed package artifact)",
-    )
-    info.set_defaults(func=_cmd_surrogate)
 
     rep = sub.add_parser(
         "reproduce", help="regenerate every paper artefact into a directory"

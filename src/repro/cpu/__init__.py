@@ -1,28 +1,15 @@
 """Cycle-level out-of-order CPU model (the SimpleScalar/Wattch stand-in).
 
-Three timing tiers share this package: the cycle-level reference
-(:class:`Pipeline`), the analytical fast engine (:class:`FastPipeline`),
-and the calibrated grid surrogate (:mod:`repro.cpu.surrogate`), which
-never simulates at all.
+Two timing engines share this package: the cycle-level reference
+(:class:`Pipeline`) and the analytical fast engine (:class:`FastPipeline`).
 """
 
 from repro.cpu.branch import BranchTargetBuffer, HybridPredictor, PredictorStats
 from repro.cpu.config import PAPER_L2_LATENCIES, PAPER_MACHINE, MachineConfig
 from repro.cpu.isa import FP_OPS, MEM_OPS, N_REGS, MicroOp, OpClass
-from repro.cpu.fastmodel import FastPipeline, FastTimingConfig, fitted_timing_config
+from repro.cpu.fastmodel import FastPipeline
 from repro.cpu.metrics import RunStats
 from repro.cpu.pipeline import Pipeline
-from repro.cpu.surrogate import (
-    DEFAULT_ERROR_BUDGET,
-    CalibrationConfig,
-    ErrorBudget,
-    GridPoint,
-    OutOfEnvelopeError,
-    SurrogateModel,
-    SurrogateSweepReport,
-    surrogate_figure_point,
-    surrogate_sweep,
-)
 
 __all__ = [
     "MachineConfig",
@@ -38,16 +25,5 @@ __all__ = [
     "PredictorStats",
     "Pipeline",
     "FastPipeline",
-    "FastTimingConfig",
-    "fitted_timing_config",
     "RunStats",
-    "CalibrationConfig",
-    "DEFAULT_ERROR_BUDGET",
-    "ErrorBudget",
-    "GridPoint",
-    "OutOfEnvelopeError",
-    "SurrogateModel",
-    "SurrogateSweepReport",
-    "surrogate_figure_point",
-    "surrogate_sweep",
 ]

@@ -14,14 +14,13 @@ and replaces the pipeline with an analytical timing estimate:
 
 The exposure factors are calibrated once against the out-of-order model
 (they encode how much of each latency the 80-entry window hides on these
-workloads) and are exposed as constructor knobs.  Use this engine for
+workloads) and are fixed module constants.  Use this engine for
 wide sweeps and the out-of-order model for the headline figures; a
 cross-validation test keeps the two in agreement on trends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -43,52 +42,6 @@ INDUCED_EXPOSURE = 0.10
 FETCH_EXPOSURE = 0.8
 
 
-@dataclass
-class FastTimingConfig:
-    """Exposure knobs of the analytical timing estimate."""
-
-    base_ipc: float = BASE_IPC
-    branch_penalty: float = BRANCH_PENALTY
-    mem_exposure: float = MEM_EXPOSURE
-    penalty_exposure: float = PENALTY_EXPOSURE
-    induced_exposure: float = INDUCED_EXPOSURE
-    fetch_exposure: float = FETCH_EXPOSURE
-
-    def __post_init__(self) -> None:
-        if self.base_ipc <= 0:
-            raise ValueError("base_ipc must be positive")
-        for name in (
-            "mem_exposure",
-            "penalty_exposure",
-            "induced_exposure",
-            "fetch_exposure",
-        ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-
-
-def fitted_timing_config(**overrides: float) -> FastTimingConfig:
-    """A :class:`FastTimingConfig` from fitted (noisy) exposure factors.
-
-    Calibration fits (:func:`repro.cpu.surrogate.fit_exposure_factors`)
-    come from finite differences over a handful of anchor runs, so they
-    can land marginally outside the config's validity ranges; this clamps
-    exposure factors into [0, 1] and keeps ``base_ipc`` strictly positive
-    instead of letting the constructor reject the fit.
-    """
-    config = FastTimingConfig()
-    clean: dict[str, float] = {}
-    for name, value in overrides.items():
-        if not hasattr(config, name):
-            raise TypeError(f"unknown FastTimingConfig field {name!r}")
-        if name.endswith("_exposure"):
-            value = min(max(value, 0.0), 1.0)
-        elif name == "base_ipc":
-            value = max(value, 1e-6)
-        clean[name] = value
-    return FastTimingConfig(**clean)
-
-
 class FastPipeline:
     """Analytical-timing replacement for :class:`repro.cpu.pipeline.Pipeline`.
 
@@ -103,14 +56,12 @@ class FastPipeline:
         hierarchy: "MemoryHierarchy",
         accountant: EnergyAccountant,
         *,
-        timing: FastTimingConfig | None = None,
         predictor: HybridPredictor | None = None,
         btb: BranchTargetBuffer | None = None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.accountant = accountant
-        self.timing = timing or FastTimingConfig()
         self.predictor = predictor or HybridPredictor(
             bimod_entries=config.bimod_entries,
             gag_history_bits=config.gag_history_bits,
@@ -125,14 +76,13 @@ class FastPipeline:
     def run(self, trace: Iterable[MicroOp]) -> RunStats:
         """Process the trace; returns stats with estimated cycle count."""
         cfg = self.config
-        t = self.timing
         stats = self.stats
         cycles = 0.0
         line_shift = cfg.l1i_geometry.offset_bits
         cur_line = -1
 
         for op in trace:
-            cycles += 1.0 / t.base_ipc
+            cycles += 1.0 / BASE_IPC
             stats.fetched += 1
             stats.issued += 1
             stats.committed += 1
@@ -151,7 +101,7 @@ class FastPipeline:
                 cur_line = line
                 latency = self.hierarchy.inst_fetch(op.pc, int(cycles))
                 if latency > cfg.l1i_latency:
-                    cycles += t.fetch_exposure * (latency - cfg.l1i_latency)
+                    cycles += FETCH_EXPOSURE * (latency - cfg.l1i_latency)
 
             kind = op.op
             if kind is OpClass.LOAD:
@@ -163,16 +113,16 @@ class FastPipeline:
                 if result.l1_hit:
                     # Drowsy slow hit: a few wake cycles, mostly hidden.
                     extra = result.latency - cfg.l1d_latency
-                    cycles += t.penalty_exposure * extra
+                    cycles += PENALTY_EXPOSURE * extra
                 elif result.induced_miss:
                     # Technique-induced L2 round trip: the out-of-order
                     # window hides these far better than cold misses (they
                     # hit in L2 and overlap surrounding work).
-                    cycles += t.induced_exposure * (
+                    cycles += INDUCED_EXPOSURE * (
                         result.latency - cfg.l1d_latency
                     )
                 else:
-                    cycles += t.mem_exposure * (result.latency - cfg.l1d_latency)
+                    cycles += MEM_EXPOSURE * (result.latency - cfg.l1d_latency)
             elif kind is OpClass.STORE:
                 self.accountant.add("lsq")
                 stats.stores += 1
@@ -187,7 +137,7 @@ class FastPipeline:
                         self.predictor.stats.btb_misses += 1
                     self.btb.install(op.pc, op.target)
                 if not correct:
-                    cycles += t.branch_penalty
+                    cycles += BRANCH_PENALTY
             elif kind in (OpClass.IMUL, OpClass.IDIV):
                 self.accountant.add("imul")
                 if kind is OpClass.IDIV:

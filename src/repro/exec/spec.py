@@ -27,7 +27,7 @@ CODE_VERSION = "1"
 _TECHNIQUES = ("drowsy", "gated-vss", "gated", "rbb")
 _POLICIES = ("noaccess", "simple")
 _TARGETS = ("l1d", "l1i", "l2")
-_ENGINES = ("ooo", "fast", "surrogate")
+_ENGINES = ("ooo", "fast")
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,20 @@ One *run* = one benchmark trace through the out-of-order core with a given
 L1-D leakage configuration.  One *figure point* = a (baseline, technique)
 run pair reduced to net savings and performance loss.
 
-Baselines are cached: the baseline timing/dynamic energy is independent of
-temperature (leakage is computed analytically afterwards), so one baseline
-run per (benchmark, L2 latency, n_ops, seed) serves every temperature and
-technique.  The cache holds reduced :class:`BaselineSummary` entries
-(cycles + energy totals), not whole run outputs.  Cross-process and
-cross-invocation caching of entire figure points lives in
-:mod:`repro.exec` (see ``docs/EXECUTION.md``).
+Temperature and supply never enter a simulation: they only price its
+event counts and standby statistics afterwards.  So :func:`figure_point`
+simulates once per T/Vdd-free key — every run input but the operating
+point — and memoises the reduced :class:`SimSummary`, for technique runs
+and baselines alike; every (T, Vdd) point is then an exact reduction of
+the shared summaries.  Cross-process and cross-invocation caching of
+entire figure points lives in :mod:`repro.exec` (see
+``docs/EXECUTION.md``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -273,7 +275,6 @@ def run_once(
     target: str = "l1d",
     trace_ops=None,
     engine: str = "ooo",
-    timing=None,
     reference: bool = False,
 ) -> RunOutput:
     """Run one benchmark once (baseline when ``technique`` is None).
@@ -286,13 +287,7 @@ def run_once(
     the first ``warmup_ops`` of it feed the functional warmup.
     ``engine`` selects the timing model: ``"ooo"`` (the cycle-level
     out-of-order reference) or ``"fast"`` (analytical timing for wide
-    sweeps; identical cache/energy state, estimated cycle count).  The
-    grid-level ``"surrogate"`` tier never simulates and therefore has no
-    ``run_once`` — use :func:`figure_point` or
-    :func:`repro.cpu.surrogate.surrogate_sweep`.  ``timing`` optionally
-    overrides the fast engine's :class:`~repro.cpu.fastmodel.
-    FastTimingConfig` (e.g. exposure factors fitted by a surrogate
-    calibration).
+    sweeps; identical cache/energy state, estimated cycle count).
     ``reference`` selects the unoptimised slow paths everywhere — the
     cycle-by-cycle pipeline loop, the periodic full-array decay scan, and
     the stdlib ``random.Random`` trace generator.  Results are
@@ -301,16 +296,8 @@ def run_once(
     """
     if target not in ("l1d", "l1i", "l2"):
         raise ValueError(f"unknown control target {target!r}")
-    if engine == "surrogate":
-        raise ValueError(
-            "the surrogate tier serves figure points, not raw runs; "
-            "use figure_point(engine='surrogate') or "
-            "repro.cpu.surrogate.surrogate_sweep"
-        )
     if engine not in ("ooo", "fast"):
         raise ValueError(f"unknown engine {engine!r}")
-    if timing is not None and engine != "fast":
-        raise ValueError("timing overrides apply to the 'fast' engine only")
     accountant = EnergyAccountant(config=default_power_config(vdd=vdd))
     controlled = None
     if technique is not None:
@@ -336,7 +323,7 @@ def run_once(
     if engine == "fast":
         from repro.cpu.fastmodel import FastPipeline
 
-        pipeline = FastPipeline(machine, hierarchy, accountant, timing=timing)
+        pipeline = FastPipeline(machine, hierarchy, accountant)
     else:
         pipeline = Pipeline(machine, hierarchy, accountant, reference=reference)
     # Bounded time-series telemetry rides along when observability is on.
@@ -403,47 +390,103 @@ def run_once(
 
 
 @dataclass(frozen=True)
-class BaselineSummary:
-    """The three baseline quantities :func:`net_savings` consumes.
+class SimSummary:
+    """The T/Vdd-free half of one run: what :func:`figure_point` reduces.
 
-    Memoising this instead of the whole :class:`RunOutput` keeps the
-    baseline cache a few hundred bytes per entry — the full output retains
-    the entire :class:`MemoryHierarchy` (every cache line of a 2 MB L2).
+    ``counts`` keeps the accountant's event counts in the order the run
+    recorded them, so an accountant rebuilt from it sums its per-event
+    energies in the same order as the live one — the reduction is
+    bit-identical, not merely close.  Memoising this instead of the whole
+    :class:`RunOutput` keeps an entry small: the full output retains the
+    entire :class:`MemoryHierarchy` (every cache line of a 2 MB L2).
+    ``recorder`` is the run's time-series recorder when observability
+    was on.
     """
 
     cycles: int
-    dyn_energy_j: float
-    clock_energy_j: float
+    issued: int
+    counts: tuple[tuple[str, int], ...]
+    standby: StandbyStats | None
+    recorder: RunRecorder | None
 
-    @classmethod
-    def from_run(cls, out: RunOutput) -> "BaselineSummary":
-        return cls(
-            cycles=out.stats.cycles,
-            dyn_energy_j=out.accountant.total_energy(),
-            clock_energy_j=out.accountant.clock_energy(),
+    def accountant(self, vdd: float) -> EnergyAccountant:
+        """The run's energy accountant, priced at supply ``vdd``."""
+        return EnergyAccountant(
+            config=default_power_config(vdd=vdd),
+            counts=Counter(dict(self.counts)),
+            cycles=self.cycles,
+            issued_total=self.issued,
         )
 
 
 @lru_cache(maxsize=256)
-def _baseline_cached(
+def _simulated(
     benchmark: str,
+    technique: TechniqueConfig | None,
     l2_latency: int,
+    decay_interval: int,
+    policy: DecayPolicy,
+    adaptive: bool,
     n_ops: int,
     seed: int,
-    vdd: float = PAPER_VDD,
+    target: str,
+    engine: str,
+    recording: bool,
+) -> SimSummary:
+    """One simulation per T/Vdd-free key, shared by every operating point.
+
+    ``recording`` (whether observability is on) is part of the key, so a
+    summary simulated without a recorder never serves a point that must
+    publish its time series.
+    """
+    out = run_once(
+        benchmark,
+        technique=technique,
+        machine=MachineConfig().with_l2_latency(l2_latency),
+        decay_interval=decay_interval,
+        policy=policy,
+        adaptive=adaptive,
+        n_ops=n_ops,
+        seed=seed,
+        target=target,
+        engine=engine,
+    )
+    return SimSummary(
+        cycles=out.stats.cycles,
+        issued=out.accountant.issued_total,
+        counts=tuple(out.accountant.counts.items()),
+        standby=out.standby,
+        recorder=out.recorder,
+    )
+
+
+def simulation_summary(
+    benchmark: str,
+    technique: TechniqueConfig | None,
+    *,
+    l2_latency: int = 11,
+    decay_interval: int = DEFAULT_DECAY_INTERVAL,
+    policy: DecayPolicy = DecayPolicy.NOACCESS,
+    adaptive: bool = False,
+    n_ops: int = DEFAULT_N_OPS,
+    seed: int = DEFAULT_SEED,
+    target: str = "l1d",
     engine: str = "ooo",
-) -> BaselineSummary:
-    machine = MachineConfig().with_l2_latency(l2_latency)
-    return BaselineSummary.from_run(
-        run_once(
-            benchmark,
-            technique=None,
-            machine=machine,
-            n_ops=n_ops,
-            seed=seed,
-            vdd=vdd,
-            engine=engine,
+) -> SimSummary:
+    """The memoised T/Vdd-free summary of one run (baseline when
+    ``technique`` is None) — the simulation :func:`figure_point` reduces
+    for the same arguments.
+
+    A baseline's key ignores the decay interval, policy, adaptivity and
+    target, which it never uses.
+    """
+    if technique is None:
+        decay_interval, policy, adaptive, target = (
+            DEFAULT_DECAY_INTERVAL, DecayPolicy.NOACCESS, False, "l1d",
         )
+    return _simulated(
+        benchmark, technique, l2_latency, decay_interval, policy, adaptive,
+        n_ops, seed, target, engine, _obs.is_enabled(),
     )
 
 
@@ -488,62 +531,46 @@ def figure_point(
 ) -> NetSavingsResult:
     """One (benchmark, technique) point of a paper figure.
 
-    Runs (or reuses) the baseline, runs the technique, and reduces the
-    pair to the paper's net-savings / performance-loss metrics at the
-    requested temperature and supply voltage (the DVS hook: a lower Vdd
-    shrinks both the leakage at stake and the dynamic costs).
-
-    ``engine="surrogate"`` serves the point from the committed calibration
-    artifact when it covers the request, and otherwise falls back to the
-    cycle engine (see :mod:`repro.cpu.surrogate` for the trust contract).
+    Looks up (or simulates) the baseline and the technique run, then
+    reduces the pair to the paper's net-savings / performance-loss
+    metrics at the requested temperature and supply voltage (the DVS
+    hook: a lower Vdd shrinks both the leakage at stake and the dynamic
+    costs).  Both simulations come from :func:`simulation_summary`, so
+    they are shared by every (T, Vdd) point with the same remaining
+    inputs.
     """
-    if engine == "surrogate":
-        from repro.cpu.surrogate import surrogate_figure_point
-
-        return surrogate_figure_point(
-            benchmark,
-            technique,
-            l2_latency=l2_latency,
-            temp_c=temp_c,
-            decay_interval=decay_interval,
-            policy=policy,
-            adaptive=adaptive,
-            n_ops=n_ops,
-            seed=seed,
-            vdd=vdd,
-            target=target,
-        )
     _obs.incr("runner.figure_points")
-    base = _baseline_cached(benchmark, l2_latency, n_ops, seed, vdd, engine)
-    machine = MachineConfig().with_l2_latency(l2_latency)
-    tech_run = run_once(
+    base = simulation_summary(
+        benchmark, None, l2_latency=l2_latency, n_ops=n_ops, seed=seed,
+        engine=engine,
+    )
+    sim = simulation_summary(
         benchmark,
-        technique=technique,
-        machine=machine,
+        technique,
+        l2_latency=l2_latency,
         decay_interval=decay_interval,
         policy=policy,
         adaptive=adaptive,
         n_ops=n_ops,
         seed=seed,
-        vdd=vdd,
         target=target,
         engine=engine,
     )
     model = _leakage_model_cached(temp_c, vdd, target)
-    if tech_run.recorder is not None and len(tech_run.recorder):
-        # Derive the windowed leakage-energy series and stage the whole
-        # recorder for the executing spec to collect (see repro.exec).
-        # Only the technique run is published: the baseline is memoised,
-        # so its recorder's presence would depend on cache state.
+    if sim.recorder is not None and len(sim.recorder):
+        # Derive the windowed leakage-energy series at this operating
+        # point (replacing any earlier point's) and stage the recorder for
+        # the executing spec to collect (see repro.exec).  Only the
+        # technique run is published.
         from repro.power.telemetry import attach_leakage_series
 
         attach_leakage_series(
-            tech_run.recorder,
+            sim.recorder,
             model=model,
             technique=technique,
             frequency_hz=PAPER_FREQUENCY_HZ,
         )
-        _ts.publish(tech_run.recorder)
+        _ts.publish(sim.recorder)
     return net_savings(
         benchmark=benchmark,
         technique=technique,
@@ -553,36 +580,35 @@ def figure_point(
         model=model,
         frequency_hz=PAPER_FREQUENCY_HZ,
         baseline_cycles=base.cycles,
-        baseline_dyn_j=base.dyn_energy_j,
-        baseline_clock_j=base.clock_energy_j,
-        technique_cycles=tech_run.stats.cycles,
-        technique_accountant=tech_run.accountant,
-        standby_stats=tech_run.standby,
+        baseline_accountant=base.accountant(vdd),
+        technique_cycles=sim.cycles,
+        technique_accountant=sim.accountant(vdd),
+        standby_stats=sim.standby,
         controlled_target=target,
     )
 
 
-def clear_baseline_cache() -> None:
-    """Drop only the memoised baseline summaries.
+def clear_simulation_cache() -> None:
+    """Drop every memoised simulation summary, technique and baseline.
 
-    The benchmark harness uses this between timed iterations: the baseline
-    simulation re-runs (it is part of the figure-point cost being measured)
+    The benchmark harness uses this between timed iterations: both
+    simulations re-run (they are the figure-point cost being measured)
     while the analytic layers stay warm.
     """
-    _baseline_cached.cache_clear()
+    _simulated.cache_clear()
 
 
 def clear_caches() -> None:
-    """Drop every memoised analytic result (for tests and benchmarks).
+    """Drop every memoised result (for tests and benchmarks).
 
-    Clears the baseline and leakage-model caches in this module, then
-    resets the whole registered analytic memo layer — DC solves, k_design
-    tables and surface fits, residual fractions — through
-    :func:`repro.memo.reset_all`.
+    Clears the simulation-summary, leakage-model, trace and warmup memos
+    in this module, then resets the whole registered analytic memo layer
+    — DC solves, k_design tables and surface fits, residual fractions —
+    through :func:`repro.memo.reset_all`.
     """
     from repro.memo import reset_all
 
-    _baseline_cached.cache_clear()
+    _simulated.cache_clear()
     _leakage_model_cached.cache_clear()
     _TRACE_MEMO.clear()
     _WARMUP_MEMO.clear()

@@ -151,39 +151,6 @@ def temperature_scale_factors(
     return powers[1:] / powers[0]
 
 
-def leakage_scale_grid(
-    temps_c,
-    vdds,
-    *,
-    ref_temp_c: float,
-    ref_vdd: float = PAPER_VDD,
-    node_name: str = "70nm",
-    variation=None,
-) -> np.ndarray:
-    """Cell-array leakage-power scale s(T, V) / s(T_ref, V_ref).
-
-    The two-axis generalisation of :func:`temperature_scale_factors`: one
-    vectorised :func:`repro.leakage.batch.sram_cell_power_grid` evaluation
-    over the whole (temperature x supply) operating grid, normalised to
-    the reference point.  Shape ``(len(temps_c), len(vdds))``; the entry
-    at ``(T_ref, V_ref)`` is exactly 1.0 (same scalar inputs, same
-    elementwise arithmetic).  First-order in the :func:`temperature_profile`
-    sense: a common scale over all leakage terms.  The surrogate tier
-    (:mod:`repro.cpu.surrogate`) deliberately does *not* use it — standby
-    residual fractions are not a common scale across temperature, so it
-    builds the real leakage model per operating point instead — but it
-    remains the cheap screening kernel for dense (T, V) maps.
-    """
-    from repro.leakage import batch
-
-    node = get_node(node_name)
-    temps_k = [celsius_to_kelvin(t) for t in [ref_temp_c, *temps_c]]
-    powers = batch.sram_cell_power_grid(
-        node, temps_k=temps_k, vdds=[ref_vdd, *vdds], variation=variation
-    )
-    return powers[1:, 1:] / powers[0, 0]
-
-
 def temperature_profile(
     result: NetSavingsResult,
     temps_c,
@@ -203,9 +170,10 @@ def temperature_profile(
     First-order in the same sense as :func:`perturbed`: the dominant
     SRAM-array temperature dependence is exact, while the much weaker
     temperature dependence of the standby residual *fractions* and of the
-    edge-logic share is folded into the common scale.  Use a fresh
+    edge-logic share is folded into the common scale.  Use
     :func:`repro.experiments.runner.figure_point` per temperature when the
-    exact reduction is required; use this for dense grids (Sultan et al.'s
+    exact reduction is required (points that differ only in temperature
+    share one simulation); use this for dense grids (Sultan et al.'s
     leakage-vs-temperature question, Bai et al.'s multi-level trade-off
     maps) where the scalar path is prohibitively slow.
     """

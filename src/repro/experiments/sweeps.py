@@ -81,29 +81,8 @@ def interval_sweep(
     ``temps_c`` adds a temperature axis: each interval's result is
     expanded across the grid by the batched analytic re-reduction (see
     :func:`_expand_temperatures`; ordering is interval-major).
-
-    ``engine`` selects the timing tier for every point.  ``"surrogate"``
-    routes the whole grid through
-    :func:`repro.cpu.surrogate.surrogate_sweep` — served from the
-    calibration where the envelope allows, cycle-engine fallback (via
-    ``scheduler`` when given) everywhere else, with exact per-temperature
-    reduction instead of the first-order expansion.
+    ``engine`` selects the timing engine for every point.
     """
-    if engine == "surrogate":
-        from repro.cpu.surrogate import surrogate_sweep
-
-        results, _report = surrogate_sweep(
-            benchmark,
-            technique,
-            intervals=intervals,
-            l2_latencies=(l2_latency,),
-            temp_c=temp_c,
-            temps_c=temps_c,
-            n_ops=n_ops,
-            seed=seed,
-            scheduler=scheduler,
-        )
-        return results
     if scheduler is not None and _spec_compatible(technique):
         specs = [
             RunSpec(
@@ -267,32 +246,9 @@ def l2_latency_sweep(
 
     ``temps_c`` adds a temperature axis to the grid, expanded by the
     batched analytic re-reduction (see :func:`_expand_temperatures`;
-    ordering is latency-major).  ``engine`` selects the timing tier;
-    ``"surrogate"`` routes the grid through
-    :func:`repro.cpu.surrogate.surrogate_sweep` (exact per-temperature
-    reduction, cycle fallback outside the calibration envelope).
+    ordering is latency-major).  ``engine`` selects the timing engine.
     """
     kwargs = {} if decay_interval is None else {"decay_interval": decay_interval}
-    if engine == "surrogate":
-        from repro.cpu.surrogate import surrogate_sweep
-        from repro.experiments.runner import DEFAULT_DECAY_INTERVAL
-
-        results, _report = surrogate_sweep(
-            benchmark,
-            technique,
-            intervals=(
-                decay_interval
-                if decay_interval is not None
-                else DEFAULT_DECAY_INTERVAL,
-            ),
-            l2_latencies=latencies,
-            temp_c=temp_c,
-            temps_c=temps_c,
-            n_ops=n_ops,
-            seed=seed,
-            scheduler=scheduler,
-        )
-        return results
     if scheduler is not None and _spec_compatible(technique):
         specs = [
             RunSpec(
@@ -342,33 +298,10 @@ def temperature_sweep(
 
     One simulation at ``ref_temp_c``, then the batched analytic
     re-reduction across ``temps_c`` — a 100-point grid costs one run
-    plus a single vectorised leakage-grid evaluation.
-
-    ``engine`` selects the timing tier for the anchor run.  With
-    ``"surrogate"`` no anchor simulation happens at all: every
-    temperature is reduced exactly through the calibrated surrogate
-    (which beats the first-order expansion used by the other engines),
-    falling back to the cycle engine outside the envelope.
+    plus a single vectorised leakage-grid evaluation.  ``engine`` selects
+    the timing engine for the anchor run.
     """
     kwargs = {} if decay_interval is None else {"decay_interval": decay_interval}
-    if engine == "surrogate":
-        from repro.cpu.surrogate import surrogate_sweep
-        from repro.experiments.runner import DEFAULT_DECAY_INTERVAL
-
-        results, _report = surrogate_sweep(
-            benchmark,
-            technique,
-            intervals=(
-                decay_interval
-                if decay_interval is not None
-                else DEFAULT_DECAY_INTERVAL,
-            ),
-            l2_latencies=(l2_latency,),
-            temps_c=temps_c,
-            n_ops=n_ops,
-            seed=seed,
-        )
-        return results
     anchor = figure_point(
         benchmark,
         technique,

@@ -274,30 +274,14 @@ def net_savings(
     model: CacheLeakageModel,
     frequency_hz: float,
     baseline_cycles: int,
+    baseline_accountant: EnergyAccountant,
     technique_cycles: int,
     technique_accountant: EnergyAccountant,
     standby_stats: StandbyStats,
-    baseline_accountant: EnergyAccountant | None = None,
-    baseline_dyn_j: float | None = None,
-    baseline_clock_j: float | None = None,
     event_time_scale: float = EVENT_TIME_SCALE,
     controlled_target: str = "l1d",
 ) -> NetSavingsResult:
-    """Assemble the figure point from a (baseline, technique) run pair.
-
-    The baseline side accepts either a live accountant or its two reduced
-    totals (``baseline_dyn_j``, ``baseline_clock_j``) — the only baseline
-    quantities the metric needs, which is what the runner's memoised
-    baseline summaries carry.
-    """
-    if baseline_accountant is not None:
-        baseline_dyn_j = baseline_accountant.total_energy()
-        baseline_clock_j = baseline_accountant.clock_energy()
-    if baseline_dyn_j is None or baseline_clock_j is None:
-        raise TypeError(
-            "net_savings needs baseline_accountant or both "
-            "baseline_dyn_j and baseline_clock_j"
-        )
+    """Assemble the figure point from a (baseline, technique) run pair."""
     leak_base = baseline_leakage_energy(model, baseline_cycles, frequency_hz)
     leak_tech = technique_leakage_energy(model, technique, standby_stats, frequency_hz)
     return NetSavingsResult(
@@ -310,9 +294,9 @@ def net_savings(
         technique_cycles=technique_cycles,
         leak_baseline_j=leak_base,
         leak_technique_j=leak_tech,
-        dyn_baseline_j=baseline_dyn_j,
+        dyn_baseline_j=baseline_accountant.total_energy(),
         dyn_technique_j=technique_accountant.total_energy(),
-        clock_baseline_j=baseline_clock_j,
+        clock_baseline_j=baseline_accountant.clock_energy(),
         clock_technique_j=technique_accountant.clock_energy(),
         uncontrolled_power_w=uncontrolled_leakage_power(
             model, controlled=controlled_target

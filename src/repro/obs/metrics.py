@@ -56,7 +56,6 @@ __all__ = [
     "record_run_timeout",
     "record_store_gc",
     "record_store_index",
-    "record_surrogate_point",
     "write_registry_snapshot",
 ]
 
@@ -387,7 +386,7 @@ def reset_registry() -> None:
 
 
 # ----------------------------------------------------------------------
-# Feed helpers: the scheduler/store/surrogate call these (guarded by
+# Feed helpers: the scheduler and store call these (guarded by
 # obs.is_enabled()), and the obs_overhead bench times exactly the same
 # calls, so the overhead gate covers what campaigns actually pay.
 # ----------------------------------------------------------------------
@@ -456,25 +455,6 @@ def record_cache_hit(source: str) -> None:
         "Cache hits by source (store, batch, single-flight)",
         ("source",),
     ).inc(source=source)
-
-
-def record_surrogate_point(
-    served: bool, reason: str = "", count: int = 1
-) -> None:
-    """Sweep point(s): served from the calibration, or cycle fallback."""
-    if count <= 0:
-        return
-    _REGISTRY.counter(
-        "repro_surrogate_points_total",
-        "Surrogate sweep points by disposition",
-        ("outcome",),
-    ).inc(count, outcome="served" if served else "fallback")
-    if not served and reason:
-        _REGISTRY.counter(
-            "repro_surrogate_fallbacks_total",
-            "Surrogate cycle fallbacks by reason",
-            ("reason",),
-        ).inc(count, reason=reason)
 
 
 def record_batch_finished(

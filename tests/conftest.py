@@ -38,7 +38,7 @@ def machine():
 
 @pytest.fixture(autouse=True)
 def _clear_experiment_caches():
-    """Isolate memoised baselines between tests."""
+    """Isolate memoised simulations between tests."""
     from repro.experiments.runner import clear_caches
 
     clear_caches()

@@ -126,6 +126,39 @@ class TestPowerFlag:
         assert "l1_dcache" in out
         assert "clock" in out
 
+    def test_power_reads_the_simulated_run(self, capsys, monkeypatch):
+        """The breakdown comes from the technique run figure_point just
+        simulated (no third simulation), on the requested engine."""
+        from repro.cli import main
+        from repro.cpu.config import MachineConfig
+        from repro.experiments import runner
+        from repro.leakctl.base import drowsy_technique
+
+        want = runner.run_once(
+            "gcc", technique=drowsy_technique(), machine=MachineConfig(),
+            n_ops=2000, engine="fast",
+        ).accountant.power_report()
+        real_run_once = runner.run_once
+        calls = []
+
+        def counting_run_once(*args, **kwargs):
+            calls.append(kwargs.get("engine"))
+            return real_run_once(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_once", counting_run_once)
+        code = main(["run", "gcc", "drowsy", "--ops", "2000",
+                     "--engine", "fast", "--power"])
+        assert code == 0
+        assert calls == ["fast", "fast"]  # baseline + technique
+        table = capsys.readouterr().out.split("dynamic power breakdown")[1]
+        rows = [line.strip("|").split("|") for line in table.splitlines()]
+        got = {
+            cells[0].strip(): cells[1].strip()
+            for cells in rows
+            if len(cells) == 2 and cells[0].strip() in want
+        }
+        assert got == {k: f"{v:.3f}" for k, v in want.items()}
+
 
 class TestReproduceAndValidateCommands:
     def test_quick_reproduce_subset(self, tmp_path, capsys):
@@ -240,15 +273,6 @@ class TestEngineFlag:
         assert code == 0
         assert "net savings" in capsys.readouterr().out
 
-    def test_surrogate_engine_run(self, capsys):
-        from repro.cli import main
-
-        # Default ops/seed: served straight from the committed calibration
-        # (no simulation), so this also proves the artifact is loadable.
-        code = main(["run", "gcc", "drowsy", "--engine", "surrogate"])
-        assert code == 0
-        assert "net savings" in capsys.readouterr().out
-
     def test_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(
@@ -258,92 +282,8 @@ class TestEngineFlag:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_engine_choices_cover_all_tiers(self):
-        for engine in ("ooo", "fast", "surrogate"):
+        for engine in ("ooo", "fast"):
             args = build_parser().parse_args(
                 ["sweep", "gcc", "drowsy", "--engine", engine]
             )
             assert args.engine == engine
-
-
-class TestSurrogateCli:
-    def test_error_budget_requires_surrogate_engine(self, capsys):
-        from repro.cli import main
-
-        code = main(["sweep", "gcc", "drowsy", "--error-budget", "1.0"])
-        assert code == 2
-        assert "surrogate" in capsys.readouterr().err
-
-    def test_error_budget_rejects_nonpositive(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(
-                ["sweep", "gcc", "drowsy", "--engine", "surrogate",
-                 "--error-budget", "0"]
-            )
-        assert err.value.code == 2
-        assert "must be > 0" in capsys.readouterr().err
-
-    def test_surrogate_sweep_reports_serving(self, capsys):
-        from repro.cli import main
-
-        # Anchor-only grid at the committed configuration: every point is
-        # served; the one spot-check is the only simulation that runs.
-        code = main(
-            ["sweep", "gcc", "drowsy", "--engine", "surrogate",
-             "--intervals", "1024,4096"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "best interval" in out
-        assert "points served" in out
-        assert "spot-check" in out
-
-    def test_surrogate_info_reads_committed_artifact(self, capsys):
-        from repro.cli import main
-
-        assert main(["surrogate", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "fingerprint:" in out
-        assert "gcc/drowsy" in out
-        assert "envelope" in out
-
-    def test_surrogate_info_missing_artifact(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["surrogate", "info", str(tmp_path / "nope.json")]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-    def test_surrogate_calibrate_roundtrip(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.cpu.surrogate import SurrogateModel
-
-        out_path = tmp_path / "cal.json"
-        code = main(
-            ["surrogate", "calibrate", "--benchmarks", "gcc",
-             "--techniques", "drowsy", "--intervals", "1024,2048",
-             "--l2s", "5,8", "--ops", "1000", "--out", str(out_path)]
-        )
-        assert code == 0
-        assert "artifact written" in capsys.readouterr().out
-        model = SurrogateModel.load(out_path)
-        assert model.covers("gcc", "drowsy")
-        assert model.config.n_ops == 1000
-
-    def test_surrogate_calibrate_unknown_technique(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["surrogate", "calibrate", "--benchmarks", "gcc",
-             "--techniques", "quantum"]
-        )
-        assert code == 2
-        assert "unknown technique" in capsys.readouterr().err
-
-    def test_surrogate_calibrate_unknown_benchmark(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["surrogate", "calibrate", "--benchmarks", "nonesuch",
-             "--techniques", "drowsy"]
-        )
-        assert code == 2
-        assert "unknown benchmark" in capsys.readouterr().err

@@ -5,22 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastmodel import FastTimingConfig
 from repro.experiments.runner import figure_point, run_once
 from repro.leakctl.base import drowsy_technique, gated_vss_technique
-
-
-class TestFastTimingConfig:
-    def test_defaults_valid(self):
-        FastTimingConfig()
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            FastTimingConfig(base_ipc=0.0)
-        with pytest.raises(ValueError):
-            FastTimingConfig(mem_exposure=1.5)
-        with pytest.raises(ValueError):
-            FastTimingConfig(induced_exposure=-0.1)
 
 
 class TestFastEngine:
@@ -116,61 +102,3 @@ class TestCrossValidation:
             fast = self._avg("fast", 11, technique)
             ref = self._avg("ooo", 11, technique)
             assert fast == pytest.approx(ref, abs=10.0)
-
-
-class TestFittedTimingConfig:
-    """Calibration-fit entry point: clamps noisy fits, rejects typos."""
-
-    def test_clamps_exposure_into_unit_interval(self):
-        from repro.cpu.fastmodel import fitted_timing_config
-
-        config = fitted_timing_config(mem_exposure=1.7, fetch_exposure=-0.2)
-        assert config.mem_exposure == 1.0
-        assert config.fetch_exposure == 0.0
-
-    def test_keeps_base_ipc_positive(self):
-        from repro.cpu.fastmodel import fitted_timing_config
-
-        assert fitted_timing_config(base_ipc=-3.0).base_ipc > 0.0
-
-    def test_passes_valid_fits_through(self):
-        from repro.cpu.fastmodel import fitted_timing_config
-
-        config = fitted_timing_config(base_ipc=1.25, mem_exposure=0.4)
-        assert config.base_ipc == 1.25
-        assert config.mem_exposure == 0.4
-        # Untouched knobs keep their calibrated defaults.
-        assert config.branch_penalty == FastTimingConfig().branch_penalty
-
-    def test_rejects_unknown_field(self):
-        from repro.cpu.fastmodel import fitted_timing_config
-
-        with pytest.raises(TypeError, match="unknown"):
-            fitted_timing_config(warp_factor=2.0)
-
-
-class TestTimingOverride:
-    def test_run_once_timing_changes_cycles(self, machine):
-        slow_ipc = FastTimingConfig(base_ipc=1.0)
-        default = run_once(
-            "gcc", technique=None, machine=machine, engine="fast", n_ops=2000
-        )
-        overridden = run_once(
-            "gcc", technique=None, machine=machine, engine="fast", n_ops=2000,
-            timing=slow_ipc,
-        )
-        assert overridden.stats.cycles > default.stats.cycles
-
-    def test_timing_rejected_outside_fast_engine(self, machine):
-        with pytest.raises(ValueError, match="fast"):
-            run_once(
-                "gcc", technique=None, machine=machine, n_ops=100,
-                timing=FastTimingConfig(),
-            )
-
-    def test_surrogate_engine_rejected_in_run_once(self, machine):
-        with pytest.raises(ValueError, match="surrogate"):
-            run_once(
-                "gcc", technique=None, machine=machine, n_ops=100,
-                engine="surrogate",
-            )

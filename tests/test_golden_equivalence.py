@@ -185,137 +185,14 @@ class TestExecStoreHashStability:
         )
 
 
-class TestSurrogateGoldenToleranceMatrix:
-    """Surrogate-vs-cycle across benchmark x technique x {interval, T, Vdd}.
-
-    Every point the committed calibration serves must agree with the
-    cycle reference inside the documented :class:`ErrorBudget` — and, because
-    the envelope only admits anchor-exact points, to <= 1e-12 relative (the
-    single admissible difference is one float ulp from Counter summation
-    order in the reconstructed accountant).
-    """
-
-    RTOL = 1e-12
-    # (benchmark, technique, interval, l2, temp_c, vdd): anchors of the
-    # committed plane crossed with off-calibration (T, Vdd) operating
-    # points — the axes the surrogate claims are exact everywhere.
-    MATRIX = [
-        ("gcc", "drowsy", 1024, 5, 110.0, 0.9),
-        ("gcc", "drowsy", 4096, 11, 45.0, 0.9),
-        ("gcc", "drowsy", 32768, 17, 85.0, 1.0),
-        ("gcc", "gated-vss", 2048, 5, 125.0, 0.9),
-        ("gcc", "gated-vss", 8192, 11, 60.0, 0.8),
-        ("mcf", "drowsy", 1024, 17, 25.0, 0.9),
-        ("mcf", "drowsy", 16384, 8, 110.0, 0.95),
-        ("mcf", "gated-vss", 4096, 11, 110.0, 0.9),
-        ("mcf", "gated-vss", 32768, 5, 90.0, 0.85),
-    ]
-
-    @pytest.mark.parametrize(
-        "bench,technique,interval,l2,temp_c,vdd", MATRIX
-    )
-    def test_served_point_within_budget_and_exact(
-        self, bench, technique, interval, l2, temp_c, vdd
-    ):
-        from repro.cpu.surrogate import (
-            DEFAULT_ERROR_BUDGET,
-            GridPoint,
-            committed_model,
-        )
-        from repro.experiments.runner import figure_point
-
-        model = committed_model()
-        assert model is not None, "committed calibration artifact missing"
-        point = GridPoint(interval, l2, temp_c, vdd)
-        assert not model.envelope_violations(bench, technique, point)
-        served = model.evaluate(bench, technique, point)
-        reference = figure_point(
-            bench,
-            technique_by_name(technique),
-            l2_latency=l2,
-            temp_c=temp_c,
-            decay_interval=interval,
-            vdd=vdd,
-        )
-        assert DEFAULT_ERROR_BUDGET.within(served, reference)
-        assert served.net_savings_pct == pytest.approx(
-            reference.net_savings_pct, rel=self.RTOL, abs=1e-9
-        )
-        assert served.perf_loss_pct == pytest.approx(
-            reference.perf_loss_pct, rel=self.RTOL, abs=1e-9
-        )
-        assert served.leak_technique_j == pytest.approx(
-            reference.leak_technique_j, rel=self.RTOL
-        )
-        assert served.leak_baseline_j == pytest.approx(
-            reference.leak_baseline_j, rel=self.RTOL
-        )
-        assert served.dyn_technique_j == pytest.approx(
-            reference.dyn_technique_j, rel=self.RTOL
-        )
-
-
-class TestSurrogateHashSeparation:
-    """Surrogate runs must never pollute cycle-reference store entries.
-
-    The ``engine`` field salts :meth:`RunSpec.content_hash`, so a spec
-    re-tagged ``surrogate`` keys a different store slot than the same
-    point's cycle reference — pinned here alongside the legacy ooo hashes
-    above so any accidental unification fails loudly.
-    """
+class TestEngineHashSeparation:
+    """The ``engine`` field salts :meth:`RunSpec.content_hash`, so a
+    fast-engine point never shares a store slot with its cycle reference."""
 
     def test_engine_field_separates_hashes(self):
         ooo = RunSpec(benchmark="gcc", technique="drowsy")
-        surrogate = RunSpec(
-            benchmark="gcc", technique="drowsy", engine="surrogate"
-        )
         fast = RunSpec(benchmark="gcc", technique="drowsy", engine="fast")
-        assert len({ooo.content_hash(), surrogate.content_hash(),
-                    fast.content_hash()}) == 3
-
-    def test_surrogate_spec_hash_pinned(self):
-        spec = RunSpec(
-            benchmark="gcc", technique="drowsy", engine="surrogate"
-        )
-        assert spec.content_hash() == (
-            "b9a0ececa89c2b460ac5ddbd758ecda802aa4714af614216e91e9c018910efc5"
-        )
-
-    def test_surrogate_fallbacks_store_under_ooo_hashes(self, tmp_path):
-        """A surrogate sweep's fallback writes land in the exact slots an
-        all-cycle campaign would read: same hash, same bytes."""
-        from repro.cpu.surrogate import surrogate_sweep
-        from repro.exec import ResultStore, Scheduler
-
-        store = ResultStore(tmp_path / "cache")
-        _results, report = surrogate_sweep(
-            "gcc",
-            "drowsy",
-            intervals=(3000,),  # off-anchor: guaranteed fallback
-            l2_latencies=(17,),
-            temp_c=110.0,
-            spot_checks=0,
-            scheduler=Scheduler(max_workers=1, store=store),
-        )
-        assert report.fallbacks == 1
-        spec = RunSpec(
-            benchmark="gcc",
-            technique="drowsy",
-            l2_latency=17,
-            temp_c=110.0,
-            decay_interval=3000,
-            engine="ooo",
-        )
-        assert store.get(spec) is not None
-        surrogate_tagged = RunSpec(
-            benchmark="gcc",
-            technique="drowsy",
-            l2_latency=17,
-            temp_c=110.0,
-            decay_interval=3000,
-            engine="surrogate",
-        )
-        assert store.get(surrogate_tagged) is None
+        assert ooo.content_hash() != fast.content_hash()
 
 
 class TestScalarBatchEquivalenceMatrix:

@@ -190,17 +190,6 @@ class TestFeedHelpers:
         assert c.value(source="store") == 2
         assert c.value(source="single-flight") == 1
 
-    def test_surrogate_points_with_count(self):
-        m.record_surrogate_point(served=True, count=10)
-        m.record_surrogate_point(served=False, reason="envelope", count=3)
-        m.record_surrogate_point(served=True, count=0)  # no-op
-        reg = m.registry()
-        pts = reg.get("repro_surrogate_points_total")
-        assert pts.value(outcome="served") == 10
-        assert pts.value(outcome="fallback") == 3
-        fb = reg.get("repro_surrogate_fallbacks_total")
-        assert fb.value(reason="envelope") == 3
-
     def test_batch_finished_dispositions(self):
         m.record_batch_finished(jobs=10, cache_hits=6, executed=4, wall_s=1.5)
         reg = m.registry()

@@ -424,241 +424,6 @@ def test_batch_matches_scalar_on_random_vectors(temps, vdd, pmos, shift):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# Surrogate sweep tier: envelope, fallback and calibration properties
-# ---------------------------------------------------------------------------
-
-# One tiny calibration for the simulation-bearing properties, built
-# lazily and shared across examples (the model is self-contained data, so
-# the per-test cache reset cannot invalidate it).
-_TINY_SURROGATE: list = []
-
-
-def _tiny_surrogate():
-    from repro.cpu.surrogate import CalibrationConfig, SurrogateModel
-
-    if not _TINY_SURROGATE:
-        _TINY_SURROGATE.append(
-            SurrogateModel.calibrate(
-                ["gcc"],
-                ["drowsy"],
-                CalibrationConfig(
-                    intervals=(1024, 2048), l2_latencies=(5, 8), n_ops=2000
-                ),
-            )
-        )
-    return _TINY_SURROGATE[0]
-
-
-SURROGATE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-@SURROGATE_SETTINGS
-@given(
-    interval=st.integers(min_value=64, max_value=65536),
-    l2=st.integers(min_value=1, max_value=40),
-    temp=st.floats(min_value=-20.0, max_value=200.0),
-    vdd=st.floats(min_value=0.5, max_value=1.3),
-)
-def test_surrogate_never_serves_outside_envelope(interval, l2, temp, vdd):
-    """Serving is exactly envelope membership: any off-anchor plane value
-    or out-of-range operating point must refuse to evaluate."""
-    from repro.cpu.surrogate import GridPoint, OutOfEnvelopeError, committed_model
-
-    model = committed_model()
-    point = GridPoint(interval, l2, temp, vdd)
-    bad = model.envelope_violations("gcc", "drowsy", point)
-    in_envelope = (
-        interval in model.config.intervals
-        and l2 in model.config.l2_latencies
-        and model.envelope_temp_c[0] <= temp <= model.envelope_temp_c[1]
-        and model.envelope_vdd[0] <= vdd <= model.envelope_vdd[1]
-    )
-    assert (not bad) == in_envelope
-    if bad:
-        with pytest.raises(OutOfEnvelopeError):
-            model.evaluate("gcc", "drowsy", point)
-
-
-@SURROGATE_SETTINGS
-@given(
-    t1=st.floats(min_value=25.0, max_value=125.0),
-    t2=st.floats(min_value=25.0, max_value=125.0),
-    interval=st.sampled_from([1024, 4096, 16384]),
-)
-def test_surrogate_net_savings_monotone_in_temperature(t1, t2, interval):
-    """Trend property shared with the cycle model: hotter silicon leaks
-    more, so collapsing the same standby fraction saves more — served
-    points must preserve the cycle engine's temperature trend (they are
-    anchor-exact reconstructions of it)."""
-    from repro.cpu.surrogate import GridPoint, committed_model
-
-    lo, hi = sorted((t1, t2))
-    if hi - lo < 1e-6:
-        return
-    model = committed_model()
-    cold = model.evaluate("gcc", "drowsy", GridPoint(interval, 11, lo, 0.9))
-    hot = model.evaluate("gcc", "drowsy", GridPoint(interval, 11, hi, 0.9))
-    assert hot.net_savings_pct >= cold.net_savings_pct
-    # And the leakage terms themselves grow with temperature.
-    assert hot.leak_baseline_j >= cold.leak_baseline_j
-    assert hot.leak_technique_j >= cold.leak_technique_j
-
-
-@settings(max_examples=4, deadline=None, derandomize=True)
-@given(interval=st.integers(min_value=1025, max_value=2047))
-def test_surrogate_out_of_envelope_always_falls_back_bit_identically(interval):
-    """Off-anchor intervals (strictly between two anchors) must never be
-    served: the sweep re-runs them through the cycle engine, and the
-    merged result is bit-identical to an all-cycle campaign's."""
-    from repro.cpu.surrogate import surrogate_sweep
-    from repro.experiments.runner import figure_point, technique_by_name
-
-    model = _tiny_surrogate()
-    results, report = surrogate_sweep(
-        "gcc",
-        "drowsy",
-        intervals=(interval,),
-        l2_latencies=(5,),
-        temp_c=85.0,
-        n_ops=2000,
-        model=model,
-        spot_checks=0,
-    )
-    assert report.total == 1
-    assert report.served == 0
-    assert report.fallbacks == 1
-    assert report.fallback_reasons == {"interval": 1}
-    direct = figure_point(
-        "gcc",
-        technique_by_name("drowsy"),
-        l2_latency=5,
-        temp_c=85.0,
-        decay_interval=interval,
-        n_ops=2000,
-    )
-    assert results[0] == direct
-
-
-@settings(max_examples=3, deadline=None, derandomize=True)
-@given(
-    temp=st.floats(min_value=30.0, max_value=120.0),
-    vdd=st.floats(min_value=0.82, max_value=0.98),
-)
-def test_surrogate_mixed_sweep_merges_cycle_points_bit_identically(temp, vdd):
-    """A mixed grid (one anchor, one off-anchor interval): the fallback
-    slot must equal the all-cycle result exactly, in order."""
-    from repro.cpu.surrogate import surrogate_sweep
-    from repro.experiments.runner import figure_point, technique_by_name
-
-    model = _tiny_surrogate()
-    results, report = surrogate_sweep(
-        "gcc",
-        "drowsy",
-        intervals=(1024, 1536),
-        l2_latencies=(5,),
-        temp_c=temp,
-        vdd=vdd,
-        n_ops=2000,
-        model=model,
-        spot_checks=0,
-    )
-    assert report.served == 1 and report.fallbacks == 1
-    all_cycle = figure_point(
-        "gcc",
-        technique_by_name("drowsy"),
-        l2_latency=5,
-        temp_c=temp,
-        decay_interval=1536,
-        n_ops=2000,
-        vdd=vdd,
-    )
-    assert results[1] == all_cycle
-    # The served slot agrees with its own cycle reference to float noise.
-    served_ref = figure_point(
-        "gcc",
-        technique_by_name("drowsy"),
-        l2_latency=5,
-        temp_c=temp,
-        decay_interval=1024,
-        n_ops=2000,
-        vdd=vdd,
-    )
-    assert results[0].net_savings_pct == pytest.approx(
-        served_ref.net_savings_pct, rel=1e-12, abs=1e-9
-    )
-
-
-def test_surrogate_calibration_deterministic_given_seed():
-    """Calibrating twice from the same config yields byte-identical
-    artifacts (anchor runs are seeded simulations; the fit is pure)."""
-    import json
-
-    from repro.cpu.surrogate import CalibrationConfig, SurrogateModel
-
-    config = CalibrationConfig(
-        intervals=(1024, 2048), l2_latencies=(5, 8), n_ops=1500, seed=2
-    )
-    a = SurrogateModel.calibrate(["gzip"], ["gated-vss"], config)
-    b = SurrogateModel.calibrate(["gzip"], ["gated-vss"], config)
-    assert json.dumps(a.to_payload(), sort_keys=True) == json.dumps(
-        b.to_payload(), sort_keys=True
-    )
-
-
-@SURROGATE_SETTINGS
-@given(
-    f1=st.floats(min_value=0.1, max_value=4.0),
-    f2=st.floats(min_value=0.1, max_value=4.0),
-)
-def test_error_budget_scaling_composes(f1, f2):
-    from repro.cpu.surrogate import DEFAULT_ERROR_BUDGET
-
-    once = DEFAULT_ERROR_BUDGET.scaled(f1 * f2)
-    twice = DEFAULT_ERROR_BUDGET.scaled(f1).scaled(f2)
-    assert twice.net_savings_pp == pytest.approx(once.net_savings_pp)
-    assert twice.leakage_rel == pytest.approx(once.leakage_rel)
-    assert twice.perf_loss_pp == pytest.approx(once.perf_loss_pp)
-
-
-@SURROGATE_SETTINGS
-@given(
-    temps=st.lists(
-        st.floats(min_value=25.0, max_value=125.0), min_size=1, max_size=4
-    ),
-    vdds=st.lists(
-        st.floats(min_value=0.7, max_value=1.1), min_size=1, max_size=3
-    ),
-    ref_t=st.floats(min_value=60.0, max_value=120.0),
-)
-def test_leakage_scale_grid_matches_scalar_ratios(temps, vdds, ref_t):
-    """The (T, V) scale cube equals per-point scalar power ratios, and is
-    exactly 1.0 at the reference operating point."""
-    import numpy as np
-
-    from repro.experiments.sensitivity import leakage_scale_grid
-    from repro.leakage import batch
-    from repro.tech.constants import celsius_to_kelvin
-
-    grid = leakage_scale_grid(temps, vdds, ref_temp_c=ref_t, ref_vdd=0.9)
-    assert grid.shape == (len(temps), len(vdds))
-    ref = float(
-        batch.sram_cell_power_grid(
-            NODE, temps_k=[celsius_to_kelvin(ref_t)], vdds=[0.9]
-        )[0, 0]
-    )
-    for i, t in enumerate(temps):
-        for j, v in enumerate(vdds):
-            want = float(
-                batch.sram_cell_power_grid(
-                    NODE, temps_k=[celsius_to_kelvin(t)], vdds=[v]
-                )[0, 0]
-            ) / ref
-            assert grid[i, j] == pytest.approx(want, rel=1e-12)
-    same = leakage_scale_grid([ref_t], [0.9], ref_temp_c=ref_t, ref_vdd=0.9)
-    assert same[0, 0] == 1.0
-
-
 @BATCH_SETTINGS
 @given(
     vgs=st.floats(min_value=0.0, max_value=0.3),
@@ -690,3 +455,39 @@ def test_batch_device_current_matches_scalar(
         )
     )
     assert vec == pytest.approx(scalar, rel=1e-12, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Figure-point reduction across operating points
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    t1=st.floats(min_value=25.0, max_value=125.0),
+    t2=st.floats(min_value=25.0, max_value=125.0),
+    interval=st.sampled_from([1024, 4096, 16384]),
+)
+def test_figure_point_net_savings_monotone_in_temperature(t1, t2, interval):
+    """Hotter silicon leaks more, so collapsing the same standby fraction
+    saves more: net savings and both leakage terms never fall as T rises
+    at a fixed simulation (every temperature reduces the one memoised
+    simulation, so an example costs a reduction).  5000 ops is long
+    enough for every interval to tick its decay counters; at 16384 a
+    shorter run is the baseline itself, and its zero savings are left to
+    rounding."""
+    from repro.experiments.runner import figure_point
+
+    lo, hi = sorted((t1, t2))
+    if hi - lo < 1e-6:
+        return
+    cold, hot = (
+        figure_point(
+            "gcc", drowsy_technique(), l2_latency=11,
+            decay_interval=interval, temp_c=t, n_ops=5000,
+        )
+        for t in (lo, hi)
+    )
+    assert hot.net_savings_pct >= cold.net_savings_pct
+    assert hot.leak_baseline_j >= cold.leak_baseline_j
+    assert hot.leak_technique_j >= cold.leak_technique_j

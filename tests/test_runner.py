@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cpu.config import MachineConfig
@@ -18,7 +20,11 @@ from repro.experiments.runner import (
     run_once,
     technique_by_name,
 )
-from repro.leakctl.base import drowsy_technique, gated_vss_technique
+from repro.leakctl.base import (
+    DecayPolicy,
+    drowsy_technique,
+    gated_vss_technique,
+)
 
 FAST = dict(n_ops=3000, seed=1)
 
@@ -97,9 +103,12 @@ class TestFigurePoint:
         from repro.experiments import runner
 
         figure_point("gcc", drowsy_technique(), l2_latency=5, **FAST)
-        hits_before = runner._baseline_cached.cache_info().hits
+        info = runner._simulated.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
         figure_point("gcc", gated_vss_technique(), l2_latency=5, **FAST)
-        assert runner._baseline_cached.cache_info().hits > hits_before
+        info = runner._simulated.cache_info()
+        # The baseline is shared; only the new technique run simulates.
+        assert (info.hits, info.misses) == (1, 3)
 
     def test_deterministic(self):
         a = figure_point("twolf", drowsy_technique(), l2_latency=8, **FAST)
@@ -121,6 +130,134 @@ class TestFigurePoint:
         assert scaled.leak_baseline_j < 0.7 * nominal.leak_baseline_j
         # Timing is unaffected (frequency scaling is not modelled).
         assert scaled.technique_cycles == nominal.technique_cycles
+
+
+def _reference_figure_point(
+    benchmark,
+    technique,
+    *,
+    l2_latency,
+    temp_c,
+    decay_interval=4096,
+    policy=DecayPolicy.NOACCESS,
+    adaptive=False,
+    vdd=0.9,
+    target="l1d",
+    n_ops,
+):
+    """A figure point without any memo: simulate both runs at ``vdd`` and
+    hand their live accountants to :func:`net_savings`."""
+    from repro.experiments.runner import _leakage_model_cached
+    from repro.leakctl.energy import net_savings
+    from repro.tech.nodes import PAPER_FREQUENCY_HZ
+
+    machine = MachineConfig().with_l2_latency(l2_latency)
+    base = run_once(
+        benchmark, technique=None, machine=machine, n_ops=n_ops, vdd=vdd
+    )
+    tech = run_once(
+        benchmark,
+        technique=technique,
+        machine=machine,
+        decay_interval=decay_interval,
+        policy=policy,
+        adaptive=adaptive,
+        n_ops=n_ops,
+        vdd=vdd,
+        target=target,
+    )
+    return net_savings(
+        benchmark=benchmark,
+        technique=technique,
+        decay_interval=decay_interval,
+        l2_latency=l2_latency,
+        temp_c=temp_c,
+        model=_leakage_model_cached(temp_c, vdd, target),
+        frequency_hz=PAPER_FREQUENCY_HZ,
+        baseline_cycles=base.stats.cycles,
+        baseline_accountant=base.accountant,
+        technique_cycles=tech.stats.cycles,
+        technique_accountant=tech.accountant,
+        standby_stats=tech.standby,
+        controlled_target=target,
+    )
+
+
+class TestSharedSimulations:
+    """One simulation per T/Vdd-free key, reduced exactly per point."""
+
+    N_OPS = 1500
+
+    def test_reduction_equals_unshared_reference(self):
+        """Points sharing simulations equal the unmemoised algebra
+        exactly — a memo key that drops an input, or counts re-priced in
+        another order, breaks dataclass equality somewhere here."""
+        from repro.experiments import runner
+
+        grid = [
+            dict(technique=technique_by_name(name), decay_interval=interval,
+                 l2_latency=l2, temp_c=temp_c, vdd=vdd)
+            for name in ("drowsy", "gated-vss", "rbb")
+            for interval in (1024, 4096)
+            for l2 in (5, 17)
+            for temp_c in (85.0, 110.0)
+            for vdd in (0.85, 0.95)
+        ]
+        # Each differs from a grid point in exactly one simulation input.
+        drowsy_5 = dict(decay_interval=4096, l2_latency=5, temp_c=85.0,
+                        vdd=0.95)
+        grid += [
+            dict(drowsy_5, technique=drowsy_technique(), adaptive=True),
+            dict(drowsy_5, technique=drowsy_technique(), target="l2"),
+            dict(drowsy_5, technique=drowsy_technique(),
+                 policy=DecayPolicy.SIMPLE),
+            dict(drowsy_5, technique=replace(drowsy_technique(),
+                                             decay_tags=False)),
+        ]
+        for point in grid:
+            kwargs = dict(point, n_ops=self.N_OPS)
+            assert figure_point("gcc", **kwargs) == _reference_figure_point(
+                "gcc", **kwargs
+            ), point
+        # 3 techniques x 2 intervals x 2 L2, 4 one-input variants, and
+        # one baseline per L2 latency.
+        assert runner._simulated.cache_info().misses == 12 + 4 + 2
+
+    def test_cube_simulates_once_per_key(self, monkeypatch):
+        from repro.exec import RunSpec, Scheduler
+        from repro.experiments import runner
+        from repro.experiments.runner import (
+            clear_caches,
+            clear_simulation_cache,
+        )
+
+        real_run_once = runner.run_once
+        sims = []
+
+        def counting_run_once(benchmark, **kwargs):
+            sims.append(kwargs["technique"] is None)
+            return real_run_once(benchmark, **kwargs)
+
+        monkeypatch.setattr(runner, "run_once", counting_run_once)
+        specs = [
+            RunSpec(benchmark="gcc", technique="drowsy", decay_interval=interval,
+                    l2_latency=l2, temp_c=temp_c, vdd=vdd, n_ops=self.N_OPS)
+            for interval in (1024, 4096)
+            for l2 in (5, 17)
+            for temp_c in (60.0, 85.0, 110.0)
+            for vdd in (0.85, 0.95)
+        ]
+        results = Scheduler().run(specs)
+        # One technique run per (interval, L2), one baseline per L2.
+        assert sims.count(False) == 4
+        assert sims.count(True) == 2
+        # Re-execute every point from an empty simulation memo (and the
+        # first from empty memos throughout), so a shared summary cannot
+        # agree with itself.
+        clear_caches()
+        for spec, result in zip(specs, results):
+            clear_simulation_cache()
+            assert spec.execute() == result
 
 
 class TestTablesAndReporting:

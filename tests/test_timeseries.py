@@ -297,3 +297,33 @@ class TestEndToEndEmission:
         assert mechanism == pytest.approx(whole, rel=1e-9)
         # RBB is the one technique with a GIDL component.
         assert total("leak.gidl_j") > 0
+
+    def test_points_sharing_a_simulation_each_get_their_series(
+        self, tmp_path
+    ):
+        """Two operating points of one simulation: each record carries the
+        run's series, and the leakage series is derived per temperature."""
+        from repro.exec.scheduler import Scheduler
+        from repro.exec.spec import RunSpec
+
+        specs = [
+            RunSpec(benchmark="gcc", technique="drowsy", n_ops=1500,
+                    decay_interval=512, temp_c=temp_c)
+            for temp_c in (60.0, 110.0)
+        ]
+        # Memoise the simulation with obs off first: that recorder-less
+        # summary must not serve the observed points below.
+        specs[0].execute()
+        obs.enable(tmp_path / "events.jsonl")
+        Scheduler().run(specs)
+        obs.disable()
+        records = {
+            r["spec"]: {s["name"]: s for s in r["series"]}
+            for r in read_timeseries(tmp_path / TIMESERIES_FILENAME)
+        }
+        assert set(records) == {s.content_hash() for s in specs}
+        for series in records.values():
+            assert {"cache.frac_live", "cpu.ipc", "leak.total_j"} <= set(series)
+        cool, hot = (records[s.content_hash()] for s in specs)
+        assert cool["cache.frac_live"] == hot["cache.frac_live"]
+        assert cool["leak.total_j"]["values"] != hot["leak.total_j"]["values"]
