@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 from repro.circuits.netlist import GND_NODE, VDD_NODE, Netlist, Transistor
+from repro.circuits.roots import clamped_root
 from repro.leakage.bsim3 import DeviceParams, device_subthreshold_current
 from repro.memo import LRUMemo
 from repro.tech.constants import ROOM_TEMP_K, quantise_temp
@@ -32,7 +31,7 @@ from repro.tech.nodes import TechnologyNode
 
 # Memoised residual fractions.  Both fractions are pure functions of a
 # frozen TechnologyNode and a handful of floats; the gated one runs a
-# brentq root-find per call.  Keys quantise the temperature to a 1 µK
+# Brent root-find per call.  Keys quantise the temperature to a 1 µK
 # grid (see ``quantise_temp``) — the computation itself always uses the
 # exact temperature of the first call for a given key.  LRU bound: a
 # full sweep touches (technique x node x Vdd x T) ~ dozens of keys.
@@ -294,13 +293,9 @@ def gated_residual_fraction(
         foot = _footer_current(footer, 0.0, v_x, temp_k)
         return cell_current(v_x) - foot
 
-    lo, hi = 1e-6, vdd - 1e-3
-    if imbalance(lo) <= 0:
-        v_solution = lo  # footer leaks more than the cell: no stack benefit
-    elif imbalance(hi) >= 0:
-        v_solution = hi
-    else:
-        v_solution = brentq(imbalance, lo, hi, xtol=1e-9)
+    # Clamped at ``lo`` when the footer leaks more than the cell: no stack
+    # benefit.
+    v_solution = clamped_root(imbalance, 1e-6, vdd - 1e-3, xtol=1e-9)
 
     p_gated = vdd * cell_current(v_solution)
     p_active = vdd * sram6t_leakage(node, vdd=vdd, temp_k=temp_k)

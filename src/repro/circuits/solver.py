@@ -21,13 +21,12 @@ captures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
+from math import exp, log1p
 
 from repro import obs as _obs
 from repro.circuits.netlist import GND_NODE, VDD_NODE, Netlist, Transistor
+from repro.circuits.roots import brentq, clamped_root
 from repro.memo import LRUMemo
 from repro.tech.constants import ROOM_TEMP_K, quantise_temp, thermal_voltage
 from repro.tech.nodes import TechnologyNode
@@ -50,15 +49,6 @@ _SOLVE_MEMO = LRUMemo(maxsize=4096)
 def clear_solve_memo() -> None:
     """Drop every memoised DC solve (tests and benchmarks)."""
     _SOLVE_MEMO.clear()
-
-
-def _softplus(x: float) -> float:
-    """Numerically safe ln(1 + e^x)."""
-    if x > _EXP_CAP:
-        return x
-    if x < -_EXP_CAP:
-        return math.exp(max(x, -700.0))
-    return math.log1p(math.exp(x))
 
 
 @dataclass(frozen=True)
@@ -98,18 +88,18 @@ class LeakageSolver:
         # subthreshold DIBL factor reproduces exp(b * (vds - vdd0)) at 300 K.
         vt300 = thermal_voltage(ROOM_TEMP_K)
         self._dibl_sigma = node.dibl_b * node.subthreshold_swing_n * vt300
+        # The per-device-call constants of device_current, computed once:
+        # the same operations, in the same order, as inline.
+        self._vt = thermal_voltage(temp_k)
+        cox = node.cox
+        self._mu_cox_n = node.mu0_n * cox
+        self._mu_cox_p = node.mu0_p * cox
+        self._two_n_vt = 2.0 * node.subthreshold_swing_n * self._vt
+        self._vth_dt = node.vth_temp_coeff * (temp_k - ROOM_TEMP_K)
 
     # ------------------------------------------------------------------
     # Device model
     # ------------------------------------------------------------------
-
-    def _vth_eff(self, t: Transistor, vds_abs: float, vsb: float) -> float:
-        node = self.node
-        base = node.vth_p if t.polarity == "p" else node.vth_n
-        vth = base + t.vth_shift + node.vth_temp_coeff * (self.temp_k - ROOM_TEMP_K)
-        vth += node.body_effect_gamma * max(vsb, 0.0)
-        vth -= self._dibl_sigma * (vds_abs - node.vdd0)
-        return max(vth, 0.01)
 
     def device_current(self, t: Transistor, va: float, vg: float, vb: float) -> float:
         """Channel current (A) flowing from terminal ``a`` into terminal ``b``.
@@ -119,30 +109,47 @@ class LeakageSolver:
         are mirrored about VDD.
         """
         node = self.node
-        n = node.subthreshold_swing_n
-        vt = thermal_voltage(self.temp_k)
-        sign = 1.0
+        vt = self._vt
         if t.polarity == "p":
             # Mirror: work in hole coordinates referenced to VDD.  The
             # mirror flips voltage polarity, so the physical current between
             # the same two terminals flips sign as well.
             va, vg, vb = self.vdd - va, self.vdd - vg, self.vdd - vb
-            mu0 = node.mu0_p
+            base = node.vth_p
+            mu_cox = self._mu_cox_p
             sign = -1.0
         else:
-            mu0 = node.mu0_n
+            base = node.vth_n
+            mu_cox = self._mu_cox_n
+            sign = 1.0
         vds_abs = abs(va - vb)
-        vsb = min(va, vb)  # bulk at (mirrored) ground
-        vth = self._vth_eff(t, vds_abs, vsb)
+        vsb = vb if vb < va else va  # bulk at (mirrored) ground
+        # Effective threshold: temperature, body effect, DIBL, floor.
+        vth = base + t.vth_shift + self._vth_dt
+        vth += node.body_effect_gamma * (0.0 if vsb < 0.0 else vsb)
+        vth -= self._dibl_sigma * (vds_abs - node.vdd0)
+        if vth < 0.01:
+            vth = 0.01
         # Prefactor calibrated so the subthreshold asymptote equals the
         # architectural Equation-2 model (which carries the 1x vt^2 term and
         # the Voff offset).
-        pref = mu0 * node.cox * t.w_over_l * vt * vt
-        denom = 2.0 * n * vt
+        pref = mu_cox * t.w_over_l * vt * vt
+        denom = self._two_n_vt
         xf = (vg - vb - vth - node.voff) / denom
         xr = (vg - va - vth - node.voff) / denom
-        forward = _softplus(xf) ** 2
-        reverse = _softplus(xr) ** 2
+        # Numerically safe softplus ln(1 + e^x), squared.
+        if xf > _EXP_CAP:
+            forward = xf**2
+        elif xf < -_EXP_CAP:
+            forward = exp(-700.0 if xf < -700.0 else xf) ** 2
+        else:
+            forward = log1p(exp(xf)) ** 2
+        if xr > _EXP_CAP:
+            reverse = xr**2
+        elif xr < -_EXP_CAP:
+            reverse = exp(-700.0 if xr < -700.0 else xr) ** 2
+        else:
+            reverse = log1p(exp(xr)) ** 2
         # Current from a -> b is positive when va > vb for an ON/leaking
         # device; EKV convention: I = pref * (i_f(source=b) - i_r(source=a)).
         return sign * pref * (forward - reverse)
@@ -237,7 +244,7 @@ class LeakageSolver:
         The net current into a node is strictly decreasing in that node's
         voltage (every attached channel conducts more out of / less into the
         node as it rises), so each one-dimensional sub-problem has a unique
-        root found robustly by ``brentq``.  Sweeping nodes until no voltage
+        root found robustly by Brent's method.  Sweeping nodes until no voltage
         moves gives the network solution.  This is far more reliable than a
         damped Newton iteration on these exponentially stiff systems.
         """
@@ -256,31 +263,34 @@ class LeakageSolver:
                 total += i if s_in else -i
             return total
 
+        # Each unknown node's attached devices, in netlist order: drain
+        # ends draw current out of the node, source ends feed it in.
+        device_current = self.device_current
+        attached: dict[str, list[tuple[Transistor, bool]]] = {
+            n: [] for n in unknowns
+        }
+        for t in netlist.transistors:
+            if t.drain in attached:
+                attached[t.drain].append((t, True))
+            if t.source in attached and t.source != t.drain:
+                attached[t.source].append((t, False))
+
         def net_current_at(name: str, v: float) -> float:
             old = volt[name]
             volt[name] = v
             total = 0.0
-            for t in netlist.transistors:
-                if t.drain == name:
-                    total -= self.device_current(
-                        t, volt[t.drain], volt[t.gate], volt[t.source]
-                    )
-                elif t.source == name:
-                    total += self.device_current(
-                        t, volt[t.drain], volt[t.gate], volt[t.source]
-                    )
+            for t, at_drain in attached[name]:
+                i = device_current(t, volt[t.drain], volt[t.gate], volt[t.source])
+                if at_drain:
+                    total -= i
+                else:
+                    total += i
             volt[name] = old
             return total
 
         def relax_single(name: str) -> float:
-            f_lo = net_current_at(name, 0.0)
-            f_hi = net_current_at(name, self.vdd)
-            if f_lo <= 0.0:
-                return 0.0
-            if f_hi >= 0.0:
-                return self.vdd
-            return brentq(
-                lambda v, n=name: net_current_at(n, v),
+            return clamped_root(
+                lambda v: net_current_at(name, v),
                 0.0,
                 self.vdd,
                 xtol=1e-14,
@@ -295,12 +305,7 @@ class LeakageSolver:
                     volt[n] = v
                 return net_current_into(cluster)
 
-            if f(0.0) <= 0.0:
-                common = 0.0
-            elif f(self.vdd) >= 0.0:
-                common = self.vdd
-            else:
-                common = brentq(f, 0.0, self.vdd, xtol=1e-14, rtol=8.9e-16)
+            common = clamped_root(f, 0.0, self.vdd, xtol=1e-14, rtol=8.9e-16)
             for n in cluster:
                 volt[n] = common
 
@@ -483,12 +488,7 @@ class LeakageSolver:
                 def f(vb: float) -> float:
                     return edge_current(a, b, vb) - through
 
-                if f(0.0) <= 0.0:
-                    volt[b] = 0.0
-                elif f(self.vdd) >= 0.0:
-                    volt[b] = self.vdd
-                else:
-                    volt[b] = brentq(f, 0.0, self.vdd, xtol=1e-15, rtol=8.9e-16)
+                volt[b] = clamped_root(f, 0.0, self.vdd, xtol=1e-15, rtol=8.9e-16)
             return through + boundary_inflow(bottom, volt[bottom])
 
         g_lo = closure(0.0)
@@ -500,7 +500,9 @@ class LeakageSolver:
             return True
         if g_lo * g_hi > 0.0:
             return False
-        v_top = brentq(closure, 0.0, self.vdd, xtol=1e-14, rtol=8.9e-16)
+        v_top = brentq(
+            closure, 0.0, self.vdd, xtol=1e-14, rtol=8.9e-16, fa=g_lo, fb=g_hi
+        )
         closure(v_top)
         return True
 

@@ -9,6 +9,9 @@ least-recently-*used* entry once ``maxsize`` is reached.  Every memoised
 computation is a pure function of its key, so an eviction can only cost a
 recompute, never change a result — the golden-equivalence tests pin that.
 
+Like ``functools.lru_cache``, each memo reports ``cache_info()``: hits,
+misses, ``maxsize`` and ``currsize``.
+
 Every :class:`LRUMemo` self-registers (weakly) at construction, so
 :func:`reset_all` clears the whole analytic memo layer — the DC-solve,
 ``k_design``, and residual-fraction memos, plus any auxiliary caches
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, NamedTuple
 
 _MEMOS: weakref.WeakSet = weakref.WeakSet()
 _AUX_RESETS: list[Callable[[], None]] = []
@@ -44,13 +47,22 @@ def reset_all() -> None:
     One switch for the whole analytic layer: the solver's DC-solve memo,
     the ``k_design`` memo (and its surface-fit cache), and the residual-
     fraction memo all empty after this call — the memo-reset tests assert
-    it.  Eviction counters are left alone; they are diagnostics, not
-    state.
+    it.  Hit, miss and eviction counters are left alone; they are
+    diagnostics, not state.
     """
     for memo in list(_MEMOS):
         memo.clear()
     for fn in _AUX_RESETS:
         fn()
+
+
+class CacheInfo(NamedTuple):
+    """:meth:`LRUMemo.cache_info`, shaped like ``functools``' own."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
 
 
 class LRUMemo:
@@ -62,12 +74,14 @@ class LRUMemo:
             are small and the cap only exists to bound long campaigns).
     """
 
-    __slots__ = ("maxsize", "evictions", "_data", "__weakref__")
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data", "__weakref__")
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
         self.evictions = 0
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         _MEMOS.add(self)
@@ -77,7 +91,9 @@ class LRUMemo:
         try:
             value = data[key]
         except KeyError:
+            self.misses += 1
             return default
+        self.hits += 1
         data.move_to_end(key)
         return value
 
@@ -98,3 +114,7 @@ class LRUMemo:
 
     def clear(self) -> None:
         self._data.clear()
+
+    def cache_info(self) -> CacheInfo:
+        """Lookups that hit and missed (``get`` calls), the cap, the size."""
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._data))

@@ -12,7 +12,7 @@ solvers are provided:
   simulation loop (temperature updated every N cycles, leakage
   recomputed through :class:`repro.leakage.model.HotLeakage`);
 * :func:`leakage_thermal_equilibrium` — the steady-state fixed point
-  ``T* = T_amb + R_th * P(T*)``, found by bisection on the net-flux
+  ``T* = T_amb + R_th * P(T*)``, found by Brent's method on the net-flux
   function.  Because leakage grows exponentially in T while the package
   can only remove heat linearly in T, the fixed point disappears above a
   critical R_th — **thermal runaway** — and the solver reports it rather
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.optimize import brentq
+from repro.circuits.roots import brentq
 
 
 class ThermalRunawayError(RuntimeError):
@@ -107,11 +107,13 @@ def leakage_thermal_equilibrium(
         return power - (temp_k - rc.t_ambient) / rc.r_th
 
     lo = rc.t_ambient
-    if net_flux(lo) <= 0.0:
+    flux_lo = net_flux(lo)
+    if flux_lo <= 0.0:
         return lo  # no net heating at ambient: the die sits at ambient
-    if net_flux(t_max_k) > 0.0:
+    flux_hi = net_flux(t_max_k)
+    if flux_hi > 0.0:
         raise ThermalRunawayError(
             f"still heating at {t_max_k:.0f} K "
             f"(R_th={rc.r_th} K/W, dynamic={dynamic_power_w} W)"
         )
-    return brentq(net_flux, lo, t_max_k, xtol=1e-6)
+    return brentq(net_flux, lo, t_max_k, xtol=1e-6, fa=flux_lo, fb=flux_hi)

@@ -132,6 +132,11 @@ class TestSolver:
         s = LeakageSolver(node70)
         assert s.vdd == node70.vdd0
 
+    @pytest.mark.parametrize("temp_k", [0.0, -5.0])
+    def test_nonpositive_temperature_rejected_at_construction(self, node70, temp_k):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            LeakageSolver(node70, temp_k=temp_k)
+
 
 class TestSRAMAndResiduals:
     def test_sram_leakage_positive_and_sane(self, node70):

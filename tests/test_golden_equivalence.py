@@ -12,11 +12,19 @@ Also pins the exec-store content hashes: the PR-1 result store keys cached
 figure points by ``RunSpec.content_hash()`` salted with ``CODE_VERSION``;
 because results are bit-identical, the salt must not change and previously
 cached campaigns stay warm.
+
+And pins the analytic layer: one SHA-256 over ``float.hex`` of every field
+of every DC solve behind a ``k_design`` surface fit, and of the k_design
+values derived from them, so a faster solver can only land if it changes
+no bit.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -320,3 +328,68 @@ class TestScalarBatchEquivalenceMatrix:
             for j, v in enumerate(vdds):
                 scalar = unit_leakage(node, vdd=v, temp_k=t)
                 assert grid[i, j] == pytest.approx(scalar, rel=1e-12)
+
+
+class TestAnalyticLayerPin:
+    """Every bit of the DC solves behind a k_design surface fit, pinned.
+
+    One SHA-256 over ``float.hex`` of every field of every ``DCResult``
+    and of the ``KDesign`` derived from them at each surface point,
+    recorded on commit 6362fcd, where the root finder was
+    ``scipy.optimize.brentq``.  inv and nand3 at 70 nm are the fit every
+    figure point needs (9 surface points, 90 DC solves); aoi21 adds cells
+    whose Gauss-Seidel point the ``fsolve`` Newton polish refines.
+
+    The fitted ``KDesignSurface`` coefficients are left out: they come
+    from ``np.linalg.lstsq``, whose last bits follow the BLAS kernel the
+    CPU selects (``OPENBLAS_CORETYPE=Haswell``, the kernel AMD Zen gets,
+    moves them while every solve and k_design value stays put).  They are
+    a fixed function of the pinned k_design values on any one machine.
+    """
+
+    @staticmethod
+    def _digest(cells: tuple[str, ...]) -> str:
+        from repro.circuits.library import STANDARD_CELLS
+        from repro.circuits.solver import LeakageSolver
+        from repro.leakage.kdesign import derive_kdesign, kdesign_surface
+        from repro.tech.nodes import get_node
+
+        node = get_node("70nm")
+        h = hashlib.sha256()
+
+        def update(record) -> None:
+            for f in fields(record):
+                v = getattr(record, f.name)
+                v = float.hex(v) if isinstance(v, float) else v
+                h.update(f"{f.name}={v};".encode())
+
+        for cell in cells:
+            kdesign_surface(cell, "70nm")
+            netlist = STANDARD_CELLS[cell]()
+            for temp_k in (300.0, 340.0, 383.15):
+                for vdd in (0.8 * node.vdd0, 0.9 * node.vdd0, node.vdd0):
+                    solver = LeakageSolver(node, vdd=vdd, temp_k=temp_k)
+                    for combo in itertools.product(
+                        (0, 1), repeat=len(netlist.inputs)
+                    ):
+                        r = solver.solve(netlist, dict(zip(netlist.inputs, combo)))
+                        for name in sorted(r.voltages):
+                            h.update(f"{name}={float.hex(r.voltages[name])};".encode())
+                        for x in (r.supply_current, r.ground_current, r.residual_norm):
+                            h.update(f"{float.hex(x)};".encode())
+                    update(derive_kdesign(netlist, node, vdd=vdd, temp_k=temp_k))
+        return h.hexdigest()
+
+    def test_figure_path_fit(self):
+        from repro.circuits.solver import _SOLVE_MEMO
+
+        misses = _SOLVE_MEMO.cache_info().misses
+        assert self._digest(("inv", "nand3")) == (
+            "de926c05805dacec61d5def42d214020748e19042726bf45de71eb15ea2f211e"
+        )
+        assert _SOLVE_MEMO.cache_info().misses - misses == 90
+
+    def test_newton_polished_cell(self):
+        assert self._digest(("aoi21",)) == (
+            "2a4038020294a7e2e274ff1b4f94b929d166b828010d127f3a127c1d29ca1292"
+        )

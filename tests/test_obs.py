@@ -398,6 +398,58 @@ class TestLRUMemo:
         with pytest.raises(ValueError):
             LRUMemo(maxsize=0)
 
+    def test_cache_info_counts_hits_misses_and_size(self):
+        memo = LRUMemo(maxsize=2)
+
+        def fetch(key):
+            if memo.get(key) is None:
+                memo[key] = key.upper()
+
+        # miss
+        fetch("a")
+        assert memo.cache_info() == (0, 1, 2, 1)
+        # hit
+        fetch("a")
+        assert memo.cache_info() == (1, 1, 2, 1)
+        # miss
+        fetch("b")
+        assert memo.cache_info().misses == 2
+        assert memo.cache_info().currsize == 2
+        # miss & evict
+        fetch("c")
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 2, 2)
+        assert memo.evictions == 1
+
+    def test_analytic_memos_report_cache_info(self, node70):
+        """A repeated DC solve, k_design derivation and residual fraction
+        each miss once, then hit."""
+        from repro.circuits.library import (
+            _RESIDUAL_MEMO,
+            gated_residual_fraction,
+            nand2,
+        )
+        from repro.circuits.solver import _SOLVE_MEMO, LeakageSolver
+        from repro.leakage.kdesign import _KDESIGN_MEMO, derive_kdesign
+
+        def twice(memo, call):
+            before = memo.cache_info()
+            call()
+            call()
+            after = memo.cache_info()
+            return after.hits - before.hits, after.misses - before.misses
+
+        solver = LeakageSolver(node70, vdd=0.85)
+        assert twice(
+            _SOLVE_MEMO, lambda: solver.solve(nand2(), {"x": 0, "y": 1})
+        ) == (1, 1)
+        assert twice(
+            _KDESIGN_MEMO, lambda: derive_kdesign(nand2(), node70, vdd=0.9)
+        ) == (1, 1)
+        assert twice(
+            _RESIDUAL_MEMO, lambda: gated_residual_fraction(node70, vdd=0.9)
+        ) == (1, 1)
+
     def test_hot_path_memos_are_bounded(self):
         """The PR-2 memo dicts that grew without bound are now LRU-capped."""
         from repro.circuits.library import _RESIDUAL_MEMO

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +86,40 @@ class TestPublicAPI:
                 if isinstance(node, ast.FunctionDef)
             }
             assert "main" in names, path.name
+
+
+class TestScipyStaysUnloaded:
+    """The figure path never loads scipy: not at import, not in a cold
+    leakage reduction.  Only the ``fsolve`` polish of non-chain cells
+    (which no figure point reaches) and the tests import it."""
+
+    def test_import_and_cold_reduction_leave_scipy_unloaded(self):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            import repro.cli
+            from repro.experiments.runner import _leakage_model_cached
+
+            model = _leakage_model_cached(110.0)
+            for value in (
+                model.edge_logic_power,
+                model.cell_power,
+                model.drowsy_fraction,
+                model.gated_fraction,
+            ):
+                assert value > 0.0, value
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(",".join(loaded))
+            """
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == ""
