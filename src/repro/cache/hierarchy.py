@@ -67,7 +67,7 @@ class MemoryHierarchy:
             if l1d is None
             else None
         )
-        # Hot-path bindings: the accountant's Counter (event increments go
+        # Hot-path bindings: the accountant's counts (event increments go
         # straight in, preserving the per-event insertion order add() would
         # produce) and the fixed latencies.
         self._counts = accountant.counts

@@ -288,14 +288,38 @@ class LeakageSolver:
             volt[name] = old
             return total
 
+        # A node's root depends only on the voltages at the other
+        # terminals of its attached devices.  Gauss-Seidel often re-solves
+        # a node none of whose inputs moved (the turnaround node at every
+        # sweep reversal, more in ping-pong stretches), so each node keeps
+        # its last (inputs, root) pair: equal inputs give the same root.
+        inputs_of = {
+            n: tuple(
+                dict.fromkeys(
+                    x
+                    for t, _ in devices
+                    for x in (t.drain, t.gate, t.source)
+                    if x != n
+                )
+            )
+            for n, devices in attached.items()
+        }
+        last_root: dict[str, tuple[tuple[float, ...], float]] = {}
+
         def relax_single(name: str) -> float:
-            return clamped_root(
+            inputs = tuple([volt[x] for x in inputs_of[name]])
+            last = last_root.get(name)
+            if last is not None and last[0] == inputs:
+                return last[1]
+            root = clamped_root(
                 lambda v: net_current_at(name, v),
                 0.0,
                 self.vdd,
                 xtol=1e-14,
                 rtol=8.9e-16,
             )
+            last_root[name] = (inputs, root)
+            return root
 
         def relax_cluster(cluster: set[str]) -> None:
             """Solve a set of ON-coupled nodes at one common voltage."""

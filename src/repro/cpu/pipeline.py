@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # avoid a circular import with repro.cache.hierarchy
@@ -43,83 +42,28 @@ IPC_WINDOW = 1024
 """Cycles per IPC sample when a timeseries recorder is attached."""
 
 
-@dataclass(slots=True)
 class _Entry:
-    """One RUU entry."""
+    """One RUU entry.
 
-    seq: int
-    op: MicroOp
-    n_wait: int = 0
-    consumers: list = field(default_factory=list)
-    issued: bool = False
-    done: bool = False
-    completion: int = 0
-    blocks_fetch: bool = False
-    holds_mshr: bool = False
+    A hand-written ``__slots__`` class: constructed once per op, it costs
+    about half of what a slots dataclass with a ``default_factory`` does.
+    """
 
+    __slots__ = (
+        "seq", "op", "n_wait", "consumers", "issued", "done", "completion",
+        "blocks_fetch", "holds_mshr",
+    )
 
-class _FuPool:
-    """Per-cycle functional-unit arbitration (Table 2 pool)."""
-
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
-        # Pool sizes and latencies, hoisted out of the per-issue path.
-        self._n_int_alu = config.n_int_alu
-        self._n_int_mult = config.n_int_mult
-        self._n_fp_alu = config.n_fp_alu
-        self._n_fp_mult = config.n_fp_mult
-        self._n_mem_ports = config.n_mem_ports
-        self._lat_int_alu = config.lat_int_alu
-        self._lat_int_mult = config.lat_int_mult
-        self._lat_int_div = config.lat_int_div
-        self._lat_fp_alu = config.lat_fp_alu
-        self._lat_fp_mult = config.lat_fp_mult
-        self._lat_fp_div = config.lat_fp_div
-        self.reset()
-        self.imul_busy_until = 0
-        self.fpmul_busy_until = 0
-
-    def reset(self) -> None:
-        self.ialu = 0
-        self.imul = 0
-        self.fpalu = 0
-        self.fpmul = 0
-        self.mem = 0
-
-    def acquire(self, op: OpClass, cycle: int) -> int | None:
-        """Try to claim a unit; returns the op latency or None if busy."""
-        if op is OpClass.IALU or op is OpClass.BRANCH:
-            if self.ialu >= self._n_int_alu:
-                return None
-            self.ialu += 1
-            return self._lat_int_alu
-        if op is OpClass.LOAD or op is OpClass.STORE:
-            if self.mem >= self._n_mem_ports:
-                return None
-            self.mem += 1
-            return 1  # address generation; loads add cache latency
-        if op is OpClass.IMUL or op is OpClass.IDIV:
-            if self.imul >= self._n_int_mult or cycle < self.imul_busy_until:
-                return None
-            self.imul += 1
-            if op is OpClass.IDIV:
-                self.imul_busy_until = cycle + self._lat_int_div  # non-pipelined
-                return self._lat_int_div
-            return self._lat_int_mult
-        if op is OpClass.FPALU:
-            if self.fpalu >= self._n_fp_alu:
-                return None
-            self.fpalu += 1
-            return self._lat_fp_alu
-        if op is OpClass.FPMUL or op is OpClass.FPDIV:
-            if self.fpmul >= self._n_fp_mult or cycle < self.fpmul_busy_until:
-                return None
-            self.fpmul += 1
-            if op is OpClass.FPDIV:
-                self.fpmul_busy_until = cycle + self._lat_fp_div
-                return self._lat_fp_div
-            return self._lat_fp_mult
-        raise ValueError(f"unknown op class {op}")
+    def __init__(self, seq: int, op: MicroOp, blocks_fetch: bool) -> None:
+        self.seq = seq
+        self.op = op
+        self.n_wait = 0
+        self.consumers: list[_Entry] = []
+        self.issued = False
+        self.done = False
+        self.completion = 0
+        self.blocks_fetch = blocks_fetch
+        self.holds_mshr = False
 
 
 class Pipeline:
@@ -179,7 +123,6 @@ class Pipeline:
         # Each fetched op carries whether it is a mispredicted branch that
         # must gate fetch until it resolves.
         fetch_queue: deque[tuple[MicroOp, bool]] = deque()
-        fus = _FuPool(cfg)
 
         cycle = 0
         seq = 0
@@ -203,8 +146,6 @@ class Pipeline:
         predictor_stats = self.predictor.stats
         btb_lookup = self.btb.lookup
         btb_install = self.btb.install
-        acquire = fus.acquire
-        fus_reset = fus.reset
         commit_width = cfg.commit_width
         issue_width = cfg.issue_width
         fetch_width = cfg.fetch_width
@@ -213,6 +154,24 @@ class Pipeline:
         mshr_entries = cfg.mshr_entries
         mispredict_penalty = cfg.mispredict_penalty
         l1i_latency = cfg.l1i_latency
+        # The Table-2 functional-unit pool: sizes, latencies and the
+        # busy-until stamps of the non-pipelined dividers.
+        n_int_alu = cfg.n_int_alu
+        n_int_mult = cfg.n_int_mult
+        n_fp_alu = cfg.n_fp_alu
+        n_fp_mult = cfg.n_fp_mult
+        n_mem_ports = cfg.n_mem_ports
+        lat_int_alu = cfg.lat_int_alu
+        lat_int_mult = cfg.lat_int_mult
+        lat_int_div = cfg.lat_int_div
+        lat_fp_alu = cfg.lat_fp_alu
+        lat_fp_mult = cfg.lat_fp_mult
+        lat_fp_div = cfg.lat_fp_div
+        imul_busy_until = 0
+        fpmul_busy_until = 0
+        # OpClass members as locals: an IntEnum class-attribute lookup
+        # costs ~150 ns, a local ~13 ns.
+        IALU = OpClass.IALU
         LOAD = OpClass.LOAD
         STORE = OpClass.STORE
         BRANCH = OpClass.BRANCH
@@ -233,12 +192,15 @@ class Pipeline:
         cycles_acct = 0
         skipped_acct = 0
         issued_acct = 0
-        # Event counts go straight into the accountant's Counter.  Inline
-        # increments skip the add() call overhead (millions of calls per
-        # run) while keeping the counter's key-insertion order — and with
-        # it the float summation order of the energy report — exactly what
-        # per-event add() calls would produce.
+        # The core's own events are counted in locals and added to the
+        # accountant's counts once, at the end.  The energy report sums
+        # counts in key-insertion order, so each key is still inserted
+        # (as 0) at its first occurrence, between the hierarchy's keys
+        # exactly where per-event add() calls would have put it.
         counts = self.accountant.counts
+        first = counts.setdefault
+        n_dispatch = n_issue = n_regfile_read = n_regfile_write = 0
+        n_alu = n_lsq = n_fpalu = n_fpmul = n_imul = 0
 
         # Windowed-IPC telemetry.  While no recorder is attached the
         # sentinel keeps the per-cycle cost to one integer compare; the
@@ -294,43 +256,56 @@ class Pipeline:
                     data_access(op.addr, is_write=True, cycle=cycle)
                     stores_total += 1
                 if op.dest >= 0:
-                    counts["regfile_write"] += 1
+                    if not n_regfile_write:
+                        first("regfile_write", 0)
+                    n_regfile_write += 1
                 if last_writer.get(op.dest) is entry:
                     del last_writer[op.dest]
-                counts["window_commit"] += 1
+                if not committed_total:
+                    first("window_commit", 0)
                 committed_total += 1
                 committed_now += 1
 
             # ---- 3. issue -------------------------------------------
-            # The FU pool only needs resetting when something may issue;
-            # the busy-until stamps deliberately survive (non-pipelined
-            # dividers), so skipping reset on a ready-less cycle is exact.
+            # Functional-unit arbitration, inlined: per-cycle unit counts
+            # start at zero whenever something may issue, while the
+            # dividers' busy-until stamps survive across cycles.
             issued_now = 0
             if ready:
-                fus_reset()
+                used_ialu = used_mem = used_imul = used_fpalu = used_fpmul = 0
                 deferred: list[tuple[int, _Entry]] = []
                 while ready and issued_now < issue_width:
-                    seq_key, entry = heappop(ready)
-                    latency = acquire(entry.op.op, cycle)
-                    if latency is None:
-                        deferred.append((seq_key, entry))
-                        continue
-                    entry.issued = True
-                    issued_now += 1
+                    item = heappop(ready)
+                    entry = item[1]
                     op = entry.op
                     op_class = op.op
-                    if op_class is LOAD:
+                    if op_class is IALU or op_class is BRANCH:
+                        if used_ialu >= n_int_alu:
+                            deferred.append(item)
+                            continue
+                        used_ialu += 1
+                        latency = lat_int_alu
+                        if not n_alu:
+                            first("alu", 0)
+                        n_alu += 1
+                    elif op_class is LOAD:
+                        if used_mem >= n_mem_ports:
+                            deferred.append(item)
+                            continue
+                        # The port is claimed even if the MSHR check below
+                        # sends the load back to wait.
+                        used_mem += 1
                         if (
                             mshr_entries is not None
                             and outstanding_misses >= mshr_entries
                         ):
                             # All miss-status registers busy: a load cannot
                             # even probe (conservative MSHR model).
-                            entry.issued = False
-                            issued_now -= 1
-                            deferred.append((seq_key, entry))
+                            deferred.append(item)
                             continue
-                        counts["lsq"] += 1
+                        if not n_lsq:
+                            first("lsq", 0)
+                        n_lsq += 1
                         result = data_access(op.addr, is_write=False, cycle=cycle)
                         latency = result.latency
                         if not result.l1_hit:
@@ -338,20 +313,61 @@ class Pipeline:
                             entry.holds_mshr = True
                         loads_total += 1
                     elif op_class is STORE:
-                        counts["lsq"] += 1
+                        if used_mem >= n_mem_ports:
+                            deferred.append(item)
+                            continue
+                        used_mem += 1
+                        latency = 1  # address generation; data moves at commit
+                        if not n_lsq:
+                            first("lsq", 0)
+                        n_lsq += 1
                     elif op_class is FPALU:
-                        counts["fpalu"] += 1
-                    elif op_class is FPMUL or op_class is FPDIV:
-                        counts["fpmul"] += 1
+                        if used_fpalu >= n_fp_alu:
+                            deferred.append(item)
+                            continue
+                        used_fpalu += 1
+                        latency = lat_fp_alu
+                        if not n_fpalu:
+                            first("fpalu", 0)
+                        n_fpalu += 1
                     elif op_class is IMUL or op_class is IDIV:
-                        counts["imul"] += 1
+                        if used_imul >= n_int_mult or cycle < imul_busy_until:
+                            deferred.append(item)
+                            continue
+                        used_imul += 1
+                        if op_class is IDIV:
+                            imul_busy_until = cycle + lat_int_div  # non-pipelined
+                            latency = lat_int_div
+                        else:
+                            latency = lat_int_mult
+                        if not n_imul:
+                            first("imul", 0)
+                        n_imul += 1
+                    elif op_class is FPMUL or op_class is FPDIV:
+                        if used_fpmul >= n_fp_mult or cycle < fpmul_busy_until:
+                            deferred.append(item)
+                            continue
+                        used_fpmul += 1
+                        if op_class is FPDIV:
+                            fpmul_busy_until = cycle + lat_fp_div
+                            latency = lat_fp_div
+                        else:
+                            latency = lat_fp_mult
+                        if not n_fpmul:
+                            first("fpmul", 0)
+                        n_fpmul += 1
                     else:
-                        counts["alu"] += 1
-                    if op.src1 >= 0:
-                        counts["regfile_read"] += 1
-                    if op.src2 >= 0:
-                        counts["regfile_read"] += 1
-                    counts["window_issue"] += 1
+                        raise ValueError(f"unknown op class {op_class}")
+                    entry.issued = True
+                    issued_now += 1
+                    reads = (op.src1 >= 0) + (op.src2 >= 0)
+                    if reads:
+                        if not n_regfile_read:
+                            first("regfile_read", 0)
+                        n_regfile_read += reads
+                    if not n_issue:
+                        first("window_issue", 0)
+                    n_issue += 1
                     entry.completion = cycle + latency
                     heappush(completions, (entry.completion, entry.seq, entry))
                 for item in deferred:
@@ -371,7 +387,7 @@ class Pipeline:
                 if is_mem and lsq_count >= lsq_size:
                     break
                 fetch_queue.popleft()
-                entry = _Entry(seq=seq, op=op)
+                entry = _Entry(seq, op, mispredicted)
                 seq += 1
                 src = op.src1
                 if src >= 0:
@@ -387,13 +403,14 @@ class Pipeline:
                         entry.n_wait += 1
                 if op.dest >= 0:
                     last_writer[op.dest] = entry
-                entry.blocks_fetch = mispredicted
                 ruu.append(entry)
                 if is_mem:
                     lsq_count += 1
                 if entry.n_wait == 0:
                     heappush(ready, (entry.seq, entry))
-                counts["window_dispatch"] += 1
+                if not n_dispatch:
+                    first("window_dispatch", 0)
+                n_dispatch += 1
                 dispatched += 1
 
             # ---- 5. fetch -------------------------------------------
@@ -434,9 +451,10 @@ class Pipeline:
                         # fetch group, and a BTB miss on a taken branch is
                         # counted (its decode-redirect bubble is folded
                         # into the end-of-group effect).
+                        if not branches_total:
+                            first("bpred", 0)
+                            first("btb", 0)
                         branches_total += 1
-                        counts["bpred"] += 1
-                        counts["btb"] += 1
                         taken = op.taken
                         correct = predictor_update(op.pc, taken)
                         btb_target = btb_lookup(op.pc)
@@ -503,6 +521,22 @@ class Pipeline:
                 skipped_acct += next_event - cycle
                 cycle = next_event
 
+        for event, n in (
+            ("window_dispatch", n_dispatch),
+            ("window_issue", n_issue),
+            ("window_commit", committed_total),
+            ("regfile_read", n_regfile_read),
+            ("regfile_write", n_regfile_write),
+            ("alu", n_alu),
+            ("lsq", n_lsq),
+            ("fpalu", n_fpalu),
+            ("fpmul", n_fpmul),
+            ("imul", n_imul),
+            ("bpred", branches_total),
+            ("btb", branches_total),
+        ):
+            if n:
+                counts[event] += n
         self.accountant.cycles += cycles_acct
         self.accountant.issued_total += issued_acct
         if _obs.is_enabled():

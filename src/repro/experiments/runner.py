@@ -17,7 +17,6 @@ entire figure points lives in :mod:`repro.exec` (see
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,9 +39,10 @@ from repro.leakctl.base import (
 )
 from repro.leakctl.controlled import ControlledCache, StandbyStats
 from repro.leakctl.energy import NetSavingsResult, net_savings
+from repro.memo import LRUMemo, reset_all
 from repro.obs.timeseries import RunRecorder
 from repro.obs import timeseries as _ts
-from repro.power.wattch import EnergyAccountant, default_power_config
+from repro.power.wattch import EnergyAccountant, EventCounts, default_power_config
 from repro.tech.nodes import PAPER_FREQUENCY_HZ, PAPER_VDD
 from repro.workloads.generator import TraceGenerator
 
@@ -56,8 +56,7 @@ DEFAULT_SEED = 1
 # op stream, and a sweep replays it for every point — generating it once
 # and iterating a tuple is pure win.  MicroOps are never mutated
 # downstream, so sharing is safe.  Small bound: entries are a few MB each.
-_TRACE_MEMO: dict[tuple, tuple] = {}
-_TRACE_MEMO_MAX = 4
+_TRACE_MEMO = LRUMemo(4)
 
 
 def _trace_cached(
@@ -69,8 +68,6 @@ def _trace_cached(
         ops = tuple(
             TraceGenerator(benchmark, seed=seed, rng_mode=rng_mode).ops(n_ops)
         )
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
         _TRACE_MEMO[key] = ops
     return ops
 
@@ -108,16 +105,35 @@ class RunOutput:
 
 
 # Memoised post-warmup machine state.  The functional warmup is a pure
-# function of (trace prefix, machine config): it deterministically fills
-# cache lines and trains the predictor/BTB, records no energy events, and
-# never touches the leakage-mode fields (it drives the raw caches
-# directly).  A figure point replays the identical warmup twice (baseline
-# + technique) and a sweep replays it per point, so snapshotting the warm
-# state and restoring it into the freshly-built structures skips the whole
-# 30k-op replay.  Restored runs are bit-identical to replayed ones (the
-# golden equivalence tests cover both paths).
-_WARMUP_MEMO: dict[tuple, tuple] = {}
-_WARMUP_MEMO_MAX = 8
+# function of the trace prefix and the machine parameters it reads (see
+# _warmup_inputs): it deterministically fills cache lines and trains the
+# predictor/BTB, records no energy events, and never touches the
+# leakage-mode fields (it drives the raw caches directly).  A figure point
+# replays the identical warmup twice (baseline + technique) and a sweep
+# replays it per point, so snapshotting the warm state and restoring it
+# into the freshly-built structures skips the whole 30k-op replay.
+# Restored runs are bit-identical to replayed ones (the golden equivalence
+# tests cover both paths).
+_WARMUP_MEMO = LRUMemo(8)
+
+
+def _warmup_inputs(machine: MachineConfig) -> tuple:
+    """The machine parameters the functional warmup reads.
+
+    The cache geometries and the predictor and BTB sizes; no latency, so
+    one warm snapshot serves every L2 latency of a sweep.
+    """
+    return (
+        machine.l1i_geometry,
+        machine.l1d_geometry,
+        machine.l2_geometry,
+        machine.bimod_entries,
+        machine.gag_history_bits,
+        machine.gag_entries,
+        machine.chooser_entries,
+        machine.btb_entries,
+        machine.btb_assoc,
+    )
 
 
 def _snapshot_cache(cache) -> tuple:
@@ -357,7 +373,10 @@ def run_once(
                 )
                 _obs.incr("runner.warmup_replayed")
             else:
-                key = (benchmark, seed, warmup_ops, rng_mode, machine)
+                key = (
+                    benchmark, seed, warmup_ops, rng_mode,
+                    _warmup_inputs(machine),
+                )
                 snap = _WARMUP_MEMO.get(key)
                 if snap is None:
                     _functional_warmup(
@@ -366,8 +385,6 @@ def run_once(
                         itertools.islice(iter(ops), warmup_ops),
                         machine,
                     )
-                    if len(_WARMUP_MEMO) >= _WARMUP_MEMO_MAX:
-                        _WARMUP_MEMO.pop(next(iter(_WARMUP_MEMO)))
                     _WARMUP_MEMO[key] = _snapshot_warm_state(
                         hierarchy, pipeline
                     )
@@ -413,7 +430,7 @@ class SimSummary:
         """The run's energy accountant, priced at supply ``vdd``."""
         return EnergyAccountant(
             config=default_power_config(vdd=vdd),
-            counts=Counter(dict(self.counts)),
+            counts=EventCounts(self.counts),
             cycles=self.cycles,
             issued_total=self.issued,
         )
@@ -601,15 +618,11 @@ def clear_simulation_cache() -> None:
 def clear_caches() -> None:
     """Drop every memoised result (for tests and benchmarks).
 
-    Clears the simulation-summary, leakage-model, trace and warmup memos
-    in this module, then resets the whole registered analytic memo layer
-    — DC solves, k_design tables and surface fits, residual fractions —
-    through :func:`repro.memo.reset_all`.
+    Clears the simulation-summary and leakage-model memos in this module,
+    then resets every registered :class:`~repro.memo.LRUMemo` — the trace
+    and warmup memos here, the DC solves, k_design tables and surface
+    fits, residual fractions — through :func:`repro.memo.reset_all`.
     """
-    from repro.memo import reset_all
-
     _simulated.cache_clear()
     _leakage_model_cached.cache_clear()
-    _TRACE_MEMO.clear()
-    _WARMUP_MEMO.clear()
     reset_all()

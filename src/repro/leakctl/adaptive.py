@@ -79,12 +79,14 @@ class AdaptiveControlledCache(ControlledCache):
         self._last_penalties = 0
         self._last_misses = 0
         self.interval_history: list[tuple[int, int]] = [(0, self.decay_interval)]
+        self._advance_due = min(self._next_tick, self._next_adapt)
 
     def advance(self, cycle: int) -> None:
         super().advance(cycle)
         while self._next_adapt <= cycle:
             self._adapt(self._next_adapt)
             self._next_adapt += self.window
+        self._advance_due = min(self._next_tick, self._next_adapt)
 
     def _penalty_count(self) -> int:
         if self.technique.state_preserving:

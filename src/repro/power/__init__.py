@@ -6,7 +6,12 @@ from repro.power.cacti import (
     counter_increment_energy,
     mode_transition_energy,
 )
-from repro.power.wattch import EnergyAccountant, PowerConfig, default_power_config
+from repro.power.wattch import (
+    EnergyAccountant,
+    EventCounts,
+    PowerConfig,
+    default_power_config,
+)
 
 __all__ = [
     "ArrayEnergies",
@@ -15,5 +20,6 @@ __all__ = [
     "mode_transition_energy",
     "PowerConfig",
     "EnergyAccountant",
+    "EventCounts",
     "default_power_config",
 ]

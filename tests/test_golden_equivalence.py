@@ -13,10 +13,12 @@ figure points by ``RunSpec.content_hash()`` salted with ``CODE_VERSION``;
 because results are bit-identical, the salt must not change and previously
 cached campaigns stay warm.
 
-And pins the analytic layer: one SHA-256 over ``float.hex`` of every field
-of every DC solve behind a ``k_design`` surface fit, and of the k_design
-values derived from them, so a faster solver can only land if it changes
-no bit.
+And pins both layers outright, since a reference comparison cannot see a
+change that moves the fast and the reference path alike: one SHA-256 over
+everything a matrix of simulations yields, and one over ``float.hex`` of
+every field of every DC solve behind a ``k_design`` surface fit and of the
+k_design values derived from them.  A faster simulator or solver can only
+land if it changes no bit.
 """
 
 from __future__ import annotations
@@ -55,9 +57,20 @@ def _run(reference: bool, *, technique, policy, seed, adaptive=False):
     )
 
 
+def _hash_fields(h, record) -> None:
+    """Feed every dataclass field to ``h``, floats as ``float.hex``."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        v = float.hex(v) if isinstance(v, float) else v
+        h.update(f"{f.name}={v};".encode())
+
+
 def _assert_identical(fast, slow):
     assert fast.stats == slow.stats
-    assert fast.accountant.counts == slow.accountant.counts
+    # Item lists, not mappings: the energy report sums in insertion order.
+    assert list(fast.accountant.counts.items()) == list(
+        slow.accountant.counts.items()
+    )
     assert fast.accountant.cycles == slow.accountant.cycles
     assert fast.accountant.issued_total == slow.accountant.issued_total
     # repr round-trips the exact float: bit-identical, not just close.
@@ -172,6 +185,79 @@ class TestControlledCacheMatrix:
             slow.accountant.total_energy()
         )
         assert _line_states(fast) == _line_states(slow)
+
+
+class TestSimulationPin:
+    """Every bit a matrix of simulations yields, pinned per benchmark.
+
+    ``TestFullRunMatrix`` compares the fast paths against
+    ``reference=True``, but both share the pipeline's loop body, the
+    hierarchy and the event counting, so a change there moves both alike
+    and still passes.  This pin does not: one SHA-256 over each run's
+    ``RunStats``, its event counts as an ordered item list (the energy
+    report sums in that order), its cycle and issue totals, and its
+    ``StandbyStats`` with ``float.hex`` of the standby integral.  Recorded
+    on commit e89faef.  The runs use no ``lstsq``, so the pin holds across
+    BLAS kernels.
+
+    Per benchmark: the baseline and drowsy/gated-vss/rbb at decay
+    intervals 1024 and 32768, each at L2 latencies 5 and 17, then two
+    adaptive runs, a SIMPLE-policy run, and the technique on the L2 and on
+    the L1 I-cache.
+    """
+
+    DIGESTS = {
+        "gcc": "076ecb5036f5b333fdc8e0a9adf3913a90728a07b40145aa35e3e3f2a1a757cf",
+        "mcf": "d7e99763baac89dbe043f292530311abbe9c54fdbecb8e98382ac13174e11cd7",
+        "vpr": "597c7d43b191efaad9b9a106dc7f25cabcf6f3613b156e9755e1492637f6227a",
+    }
+
+    @staticmethod
+    def _runs():
+        for l2 in (5, 17):
+            yield dict(technique=None, l2=l2)
+            for technique in ("drowsy", "gated-vss", "rbb"):
+                for interval in (1024, 32768):
+                    yield dict(technique=technique, l2=l2, decay_interval=interval)
+        yield dict(technique="drowsy", l2=17, decay_interval=1024, adaptive=True)
+        # A tick period (8,192 cycles) longer than the adaptation window
+        # (4,096): the controller then adapts between decay ticks.
+        yield dict(technique="drowsy", l2=5, decay_interval=32768, adaptive=True)
+        yield dict(
+            technique="gated-vss", l2=17, decay_interval=1024,
+            policy=DecayPolicy.SIMPLE,
+        )
+        yield dict(technique="drowsy", l2=17, decay_interval=1024, target="l2")
+        yield dict(
+            technique="gated-vss", l2=17, decay_interval=1024, target="l1i"
+        )
+
+    @classmethod
+    def _digest(cls, benchmark: str) -> str:
+        h = hashlib.sha256()
+        for run in cls._runs():
+            technique = run.pop("technique")
+            out = run_once(
+                benchmark,
+                technique=technique_by_name(technique) if technique else None,
+                machine=MachineConfig().with_l2_latency(run.pop("l2")),
+                n_ops=N_OPS,
+                warmup_ops=WARMUP_OPS,
+                **run,
+            )
+            _hash_fields(h, out.stats)
+            h.update(repr(list(out.accountant.counts.items())).encode())
+            h.update(
+                f"cycles={out.accountant.cycles};"
+                f"issued={out.accountant.issued_total};".encode()
+            )
+            if out.standby is not None:
+                _hash_fields(h, out.standby)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_simulations_pinned(self, name):
+        assert self._digest(name) == self.DIGESTS[name]
 
 
 class TestExecStoreHashStability:
@@ -356,13 +442,6 @@ class TestAnalyticLayerPin:
 
         node = get_node("70nm")
         h = hashlib.sha256()
-
-        def update(record) -> None:
-            for f in fields(record):
-                v = getattr(record, f.name)
-                v = float.hex(v) if isinstance(v, float) else v
-                h.update(f"{f.name}={v};".encode())
-
         for cell in cells:
             kdesign_surface(cell, "70nm")
             netlist = STANDARD_CELLS[cell]()
@@ -377,7 +456,9 @@ class TestAnalyticLayerPin:
                             h.update(f"{name}={float.hex(r.voltages[name])};".encode())
                         for x in (r.supply_current, r.ground_current, r.residual_norm):
                             h.update(f"{float.hex(x)};".encode())
-                    update(derive_kdesign(netlist, node, vdd=vdd, temp_k=temp_k))
+                    _hash_fields(
+                        h, derive_kdesign(netlist, node, vdd=vdd, temp_k=temp_k)
+                    )
         return h.hexdigest()
 
     def test_figure_path_fit(self):

@@ -260,6 +260,51 @@ class TestSharedSimulations:
             assert spec.execute() == result
 
 
+class TestWarmupMemo:
+    """One functional warmup per trace, shared across L2 latencies."""
+
+    def test_one_warmup_serves_every_l2_latency(self):
+        """Counted like fsspec's ``test_block_cache_lru``, from empty
+        memos.  The warmup reads the cache geometries and predictor sizes
+        but no latency, so its snapshot is keyed without one: the first
+        run misses and replays the warmup, then a technique run at the
+        same L2 latency and a baseline at another one both restore it.
+        Restoring must be invisible: the L2-17 run equals one whose
+        warmup was replayed."""
+        from repro.experiments import runner
+
+        l2_5 = MachineConfig().with_l2_latency(5)
+        l2_17 = MachineConfig().with_l2_latency(17)
+        warmups, traces = runner._WARMUP_MEMO, runner._TRACE_MEMO
+        runner.clear_caches()
+        # Hit and miss counters survive clear(); count from here.
+        base = warmups.cache_info()
+
+        def seen():
+            info = warmups.cache_info()
+            return info.misses - base.misses, info.hits - base.hits, info.currsize
+
+        # miss
+        run_once("gcc", technique=None, machine=l2_5, **FAST)
+        assert seen() == (1, 0, 1)
+        # hit: the technique run at the same latency
+        run_once("gcc", technique=drowsy_technique(), machine=l2_5, **FAST)
+        assert seen() == (1, 1, 1)
+        # hit: the baseline at another latency
+        restored = run_once("gcc", technique=None, machine=l2_17, **FAST)
+        assert seen() == (1, 2, 1)
+        assert traces.cache_info().currsize == 1
+
+        runner.clear_caches()
+        replayed = run_once("gcc", technique=None, machine=l2_17, **FAST)
+        assert seen() == (2, 2, 1)
+        assert restored.stats == replayed.stats
+        assert list(restored.accountant.counts.items()) == list(
+            replayed.accountant.counts.items()
+        )
+        assert restored.accountant.cycles == replayed.accountant.cycles
+
+
 class TestTablesAndReporting:
     def test_table_1_matches_paper(self):
         t = table_1()
