@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Core hot-path benchmark harness — thin wrapper over ``repro-paper bench``.
+"""Hot-path performance gates — thin wrapper over ``repro-paper bench``.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/bench_core.py            # full suite
-    PYTHONPATH=src python benchmarks/bench_core.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_core.py --check    # gate vs baseline
+    PYTHONPATH=src python benchmarks/bench_core.py                        # measure
+    PYTHONPATH=src python benchmarks/bench_core.py --check                # gate vs baseline
+    PYTHONPATH=src python benchmarks/bench_core.py --repeats 3 --check    # as CI runs it
 
 Writes ``BENCH.json`` (see ``docs/PERFORMANCE.md`` for the schema and the
-timing protocol).  The committed reference numbers live in
+timing protocol).  The committed reference speedup lives in
 ``benchmarks/bench_baseline.json``.
 """
 

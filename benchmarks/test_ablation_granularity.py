@@ -8,8 +8,8 @@ shrinks the hardware but a bank only sleeps when every line in it is
 simultaneously idle — under realistically scattered access streams the
 turnoff ratio collapses with bank size, taking the savings with it.
 
-Uses the fast engine: the sweep is wide and only cache/decay state (which
-the fast engine computes exactly) matters for the turnoff story.
+Each run drives the cycle-level pipeline directly, because the bank size
+is a :class:`ControlledCache` knob that no figure point exposes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from conftest import one_shot
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cpu.config import MachineConfig
-from repro.cpu.fastmodel import FastPipeline
+from repro.cpu.pipeline import Pipeline
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import _functional_warmup
 from repro.leakctl.base import drowsy_technique, gated_vss_technique
@@ -50,7 +50,7 @@ def run_granularity_study():
                     bank_sets=banks,
                 )
                 hier = MemoryHierarchy(machine, acct, l1d=ctl)
-                pipe = FastPipeline(machine, hier, acct)
+                pipe = Pipeline(machine, hier, acct)
                 stream = TraceGenerator(bench, seed=1).ops(50_000)
                 _functional_warmup(
                     hier, pipe, itertools.islice(stream, 30_000), machine

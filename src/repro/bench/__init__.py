@@ -1,9 +1,8 @@
-"""Single-run performance benchmark harness (see ``docs/PERFORMANCE.md``)."""
+"""Machine-independent performance gates (see ``docs/PERFORMANCE.md``)."""
 
 from repro.bench.core import (
     BATCH_SPEEDUP_FLOOR,
     BENCH_SCHEMA,
-    SCENARIOS,
     batch_comparison,
     check_regression,
     reference_comparison,
@@ -13,7 +12,6 @@ from repro.bench.core import (
 __all__ = [
     "BATCH_SPEEDUP_FLOOR",
     "BENCH_SCHEMA",
-    "SCENARIOS",
     "batch_comparison",
     "check_regression",
     "reference_comparison",

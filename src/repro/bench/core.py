@@ -1,29 +1,21 @@
-"""Single-run performance benchmarks for the simulation hot path.
+"""Machine-independent performance gates for the simulation hot path.
 
-Times the kernels this library spends its life in — the out-of-order
-pipeline loop, the controlled-cache decay machinery, the synthetic trace
-generator, and the transistor-level leakage solves — and writes a
-machine-readable ``BENCH.json`` so perf changes have a tracked trajectory
-(``docs/PERFORMANCE.md`` explains how to read it).
+Each gate times two variants of the same work back to back in one
+process, so its ratio transfers across machines, and writes it to a
+machine-readable ``BENCH.json`` (``docs/PERFORMANCE.md`` explains how to
+read it):
 
-Two kinds of numbers come out:
-
-* **Absolute scenario times** (seconds, min-of-N): comparable against the
-  committed ``benchmarks/bench_baseline.json`` only on a similar machine.
-  ``speedup_vs_baseline`` is the headline "≥3x on a warm store-miss figure
-  point" metric.
-* **The in-process reference speedup**: the same technique run executed
-  through the optimised fast paths and through ``reference=True`` (the
+* **the reference speedup**: the same technique run executed through
+  the optimised fast paths and through ``reference=True`` (the
   cycle-by-cycle loop, eager decay scans and stdlib RNG the golden tests
-  compare against), back to back in one process.  The ratio is
-  machine-independent, which is what CI gates on.
+  compare against), gated against the committed
+  ``benchmarks/bench_baseline.json``;
+* **the batch speedup**: the variation-averaged leakage evaluation,
+  vectorised vs the scalar loop, gated against an absolute floor;
+* **the observability overhead**: a run with telemetry on vs off, gated
+  against an absolute ceiling.
 
-Timing protocol: every scenario gets one untimed warmup iteration (which
-also warms the analytic memo layers), then N timed iterations with the
-scenario's ``between`` hook (untimed) restoring cold state — e.g. dropping
-memoised simulation summaries so the baseline and technique simulations
-re-run, while leakage models stay warm.  Minimum of N is reported: scheduling noise only
-ever adds time.
+Absolute end-to-end and per-layer times come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -32,15 +24,12 @@ import gc
 import json
 import statistics
 import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 BENCH_SCHEMA = 1
 
-# Default repeat counts; min-of-N absorbs scheduler noise.
+# Default repeat count; min-of-N absorbs scheduler noise.
 DEFAULT_REPEATS = 5
-QUICK_REPEATS = 3
 
 # CI gate: fail when the in-process reference speedup drops below
 # (1 - tolerance) x the committed baseline's speedup.
@@ -64,173 +53,6 @@ OBS_OVERHEAD_CEILING = 0.03
 OBS_OVERHEAD_PAIRS = 24
 
 _N_OPS = 20_000  # the standard figure-point run length
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One timed kernel.
-
-    Attributes:
-        name: Stable key in ``BENCH.json`` (and the baseline file).
-        description: What the number means, one line.
-        ops_per_iteration: Micro-ops simulated (or generated) per
-            iteration, for the ops/s column; 0 when the unit is not ops.
-        run: One timed iteration.
-        between: Un-timed state reset between iterations (may be None).
-        quick: Included in ``--quick`` (CI smoke) runs.
-    """
-
-    name: str
-    description: str
-    ops_per_iteration: int
-    run: Callable[[], object]
-    between: Callable[[], object] | None = None
-    quick: bool = False
-
-
-def _figure_point_scenario(
-    name: str,
-    benchmark: str,
-    technique_name: str,
-    l2_latency: int,
-    *,
-    quick: bool = False,
-) -> Scenario:
-    from repro.experiments.runner import (
-        clear_simulation_cache,
-        figure_point,
-        technique_by_name,
-    )
-
-    technique = technique_by_name(technique_name)
-
-    def run() -> None:
-        figure_point(benchmark, technique, l2_latency=l2_latency)
-
-    return Scenario(
-        name=name,
-        description=(
-            f"warm figure point: {benchmark}/{technique_name} at "
-            f"L2={l2_latency} (baseline + technique simulation; analytic "
-            f"layers warm)"
-        ),
-        # A figure point simulates the baseline and the technique run.
-        ops_per_iteration=2 * _N_OPS,
-        run=run,
-        between=clear_simulation_cache,
-        quick=quick,
-    )
-
-
-def _run_once_scenario(
-    name: str,
-    benchmark: str,
-    technique_name: str | None,
-    l2_latency: int,
-) -> Scenario:
-    from repro.cpu.config import MachineConfig
-    from repro.experiments.runner import run_once, technique_by_name
-
-    machine = MachineConfig().with_l2_latency(l2_latency)
-    technique = (
-        technique_by_name(technique_name) if technique_name else None
-    )
-    label = technique_name or "baseline"
-
-    def run() -> None:
-        run_once(benchmark, technique=technique, machine=machine)
-
-    return Scenario(
-        name=name,
-        description=(
-            f"one simulation run: {benchmark}/{label} at L2={l2_latency} "
-            f"(pipeline + cache hierarchy + decay, no analytic reduction)"
-        ),
-        ops_per_iteration=_N_OPS,
-        run=run,
-    )
-
-
-def _trace_gen_scenario(name: str, benchmark: str, n_ops: int) -> Scenario:
-    from repro.workloads.generator import TraceGenerator
-
-    def run() -> None:
-        deque(TraceGenerator(benchmark, seed=1).ops(n_ops), maxlen=0)
-
-    return Scenario(
-        name=name,
-        description=f"synthetic trace generation: {n_ops} {benchmark} micro-ops",
-        ops_per_iteration=n_ops,
-        run=run,
-        quick=True,
-    )
-
-
-def _leakage_solve_scenario(name: str, cell: str) -> Scenario:
-    from repro.experiments.runner import clear_caches
-    from repro.leakage.kdesign import kdesign_surface
-
-    def run() -> None:
-        kdesign_surface(cell, "70nm")
-
-    return Scenario(
-        name=name,
-        description=(
-            f"cold k_design surface fit for {cell} (9 operating points x "
-            f"exhaustive input DC solves; all analytic memos cleared)"
-        ),
-        ops_per_iteration=0,
-        run=run,
-        between=clear_caches,
-    )
-
-
-def build_scenarios() -> tuple[Scenario, ...]:
-    """The benchmark suite.  Order is report order."""
-    return (
-        # The headline: mcf is the store-miss-heavy workload, L2=17 the
-        # paper's slowest memory system — the worst case for the cycle loop.
-        _figure_point_scenario(
-            "figure_point_mcf_gated_l2_17", "mcf", "gated-vss", 17, quick=True
-        ),
-        _figure_point_scenario(
-            "figure_point_gcc_gated_l2_11", "gcc", "gated-vss", 11
-        ),
-        _figure_point_scenario(
-            "figure_point_mcf_drowsy_l2_17", "mcf", "drowsy", 17
-        ),
-        _run_once_scenario("run_once_mcf_base_l2_17", "mcf", None, 17),
-        _run_once_scenario("run_once_mcf_gated_l2_17", "mcf", "gated-vss", 17),
-        _trace_gen_scenario("trace_gen_mcf_50k", "mcf", 50_000),
-        _leakage_solve_scenario("leakage_solve_nand2_surface", "nand2"),
-    )
-
-
-SCENARIOS = build_scenarios
-
-
-def time_scenario(scenario: Scenario, repeats: int) -> dict:
-    """Warm up once, then time ``repeats`` iterations (min-of-N)."""
-    perf_counter = time.perf_counter
-    scenario.run()  # warmup; also warms analytic memo layers
-    if scenario.between is not None:
-        scenario.between()
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        scenario.run()
-        times.append(perf_counter() - t0)
-        if scenario.between is not None:
-            scenario.between()
-    seconds = min(times)
-    result = {
-        "seconds": seconds,
-        "median_seconds": statistics.median(times),
-        "repeats": repeats,
-    }
-    if scenario.ops_per_iteration:
-        result["ops_per_s"] = scenario.ops_per_iteration / seconds
-    return result
 
 
 def reference_comparison(*, repeats: int = 3, n_ops: int = _N_OPS) -> dict:
@@ -275,30 +97,22 @@ def reference_comparison(*, repeats: int = 3, n_ops: int = _N_OPS) -> dict:
 def batch_comparison(*, repeats: int = 5) -> dict:
     """Vectorised batch leakage kernels vs. the scalar Python loop.
 
-    Two scenarios, each timed through the batch path and the scalar
-    reference path back to back in one process (so the ratio transfers
-    across machines):
-
-    * ``variation_mean`` — one variation-averaged 6T retention-leakage
-      evaluation (the 200-sample population that used to be a per-sample
-      Python loop);
-    * ``t_sweep_100`` — unit leakage over a dense 100-point temperature
-      grid (the Sultan-et-al. linearity-study axis).
+    One scenario, ``variation_mean``: a variation-averaged 6T
+    retention-leakage evaluation (the 200-sample population that used to
+    be a per-sample Python loop), timed through the batch path and the
+    scalar reference path back to back in one process (so the ratio
+    transfers across machines).
 
     Both paths agree to <=1e-12 relative (the golden equivalence matrix
-    asserts it); this measures only the speed gap.  CI gates each ratio
+    asserts it); this measures only the speed gap.  CI gates the ratio
     against the absolute :data:`BATCH_SPEEDUP_FLOOR`.
     """
-    from repro.leakage import batch
-    from repro.leakage.bsim3 import leakage_vs_temperature
     from repro.leakage.cells import SRAMCellModel
     from repro.tech.nodes import PAPER_VDD, get_node
     from repro.tech.variation import VariationSpec
 
-    node = get_node("70nm")
-    cell = SRAMCellModel(node=node)
+    cell = SRAMCellModel(node=get_node("70nm"))
     variation = VariationSpec()
-    temps_k = [300.0 + 0.9 * i for i in range(100)]
     perf_counter = time.perf_counter
 
     def timed(fn) -> float:
@@ -310,8 +124,6 @@ def batch_comparison(*, repeats: int = 5) -> dict:
             times.append(perf_counter() - t0)
         return min(times)
 
-    scenarios: dict[str, dict] = {}
-
     batch_s = timed(
         lambda: cell.subthreshold_current(
             vdd=PAPER_VDD, temp_k=383.0, variation=variation
@@ -322,29 +134,17 @@ def batch_comparison(*, repeats: int = 5) -> dict:
             vdd=PAPER_VDD, temp_k=383.0, variation=variation, reference=True
         )
     )
-    scenarios["variation_mean"] = {
-        "description": (
-            "variation-averaged 6T retention leakage, 200-sample "
-            "population (70nm, 383 K)"
-        ),
-        "batch_seconds": batch_s,
-        "scalar_seconds": scalar_s,
-        "speedup": scalar_s / batch_s,
+    return {
+        "variation_mean": {
+            "description": (
+                "variation-averaged 6T retention leakage, 200-sample "
+                "population (70nm, 383 K)"
+            ),
+            "batch_seconds": batch_s,
+            "scalar_seconds": scalar_s,
+            "speedup": scalar_s / batch_s,
+        }
     }
-
-    batch_s = timed(
-        lambda: batch.leakage_vs_temperature(node, temps_k, vdd=PAPER_VDD)
-    )
-    scalar_s = timed(
-        lambda: leakage_vs_temperature(node, temps_k, vdd=PAPER_VDD)
-    )
-    scenarios["t_sweep_100"] = {
-        "description": "unit leakage over a 100-point temperature grid (70nm)",
-        "batch_seconds": batch_s,
-        "scalar_seconds": scalar_s,
-        "speedup": scalar_s / batch_s,
-    }
-    return scenarios
 
 
 def obs_overhead_comparison(*, n_ops: int = _N_OPS) -> dict:
@@ -438,46 +238,12 @@ def obs_overhead_comparison(*, n_ops: int = _N_OPS) -> dict:
 
 def run_bench(
     *,
-    quick: bool = False,
-    repeats: int | None = None,
-    baseline: dict | None = None,
+    repeats: int = DEFAULT_REPEATS,
     progress: Callable[[str], object] | None = None,
 ) -> dict:
-    """Run the suite and return the ``BENCH.json`` report dict.
-
-    ``baseline`` is a previously written report (or the committed
-    ``benchmarks/bench_baseline.json``); matching scenarios gain a
-    ``speedup_vs_baseline`` field.
-    """
-    if repeats is None:
-        repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
+    """Run the three gated comparisons; returns the ``BENCH.json`` dict."""
     say = progress or (lambda _msg: None)
-    base_scenarios = (baseline or {}).get("scenarios", {})
-
-    scenarios = [s for s in build_scenarios() if s.quick or not quick]
-    report: dict = {
-        "schema": BENCH_SCHEMA,
-        "quick": quick,
-        "repeats": repeats,
-        "scenarios": {},
-    }
-    for scenario in scenarios:
-        say(f"bench: {scenario.name} ...")
-        entry = time_scenario(scenario, repeats)
-        entry["description"] = scenario.description
-        base = base_scenarios.get(scenario.name, {}).get("seconds")
-        if base:
-            entry["baseline_seconds"] = base
-            entry["speedup_vs_baseline"] = base / entry["seconds"]
-        report["scenarios"][scenario.name] = entry
-        say(
-            f"  {entry['seconds']:.4f}s"
-            + (
-                f"  ({entry['speedup_vs_baseline']:.2f}x vs baseline)"
-                if "speedup_vs_baseline" in entry
-                else ""
-            )
-        )
+    report: dict = {"schema": BENCH_SCHEMA, "repeats": repeats}
 
     say("bench: reference comparison (optimised vs slow path) ...")
     report["reference"] = reference_comparison(

@@ -37,11 +37,6 @@ from repro.tech.nodes import TechnologyNode
 # full sweep touches (technique x node x Vdd x T) ~ dozens of keys.
 _RESIDUAL_MEMO = LRUMemo(maxsize=512)
 
-
-def clear_residual_memo() -> None:
-    """Drop every memoised residual fraction (tests and benchmarks)."""
-    _RESIDUAL_MEMO.clear()
-
 # Typical 6T SRAM sizing (aspect ratios), used across the library.
 SRAM_PULLDOWN_WL = 2.0
 SRAM_PULLUP_WL = 1.2

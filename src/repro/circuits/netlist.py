@@ -46,10 +46,6 @@ class Transistor:
         if self.w_over_l <= 0:
             raise ValueError(f"w_over_l must be positive, got {self.w_over_l}")
 
-    @property
-    def terminals(self) -> tuple[str, str]:
-        return (self.drain, self.source)
-
 
 @dataclass
 class Netlist:

@@ -46,11 +46,6 @@ _EXP_CAP = 60.0  # cap softplus arguments to avoid overflow
 _SOLVE_MEMO = LRUMemo(maxsize=4096)
 
 
-def clear_solve_memo() -> None:
-    """Drop every memoised DC solve (tests and benchmarks)."""
-    _SOLVE_MEMO.clear()
-
-
 @dataclass(frozen=True)
 class DCResult:
     """Solution of one DC operating point.

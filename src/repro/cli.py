@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.core import DEFAULT_REPEATS
 from repro.experiments.figures import (
     figure_3_4,
     figure_5_6,
@@ -45,8 +46,14 @@ from repro.experiments.reporting import (
     render_settling_table,
     render_table,
 )
-from repro.experiments.runner import figure_point, technique_by_name
+from repro.experiments.runner import (
+    SWEEP_INTERVALS,
+    figure_point,
+    technique_by_name,
+)
 from repro.experiments.sweeps import interval_sweep
+from repro.leakctl.base import TECHNIQUE_NAMES
+from repro.leakctl.controlled import MIN_DECAY_INTERVAL
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import BENCHMARK_NAMES
 from repro.workloads.tracefile import trace_length, write_trace
@@ -78,40 +85,51 @@ def _make_scheduler(args):
     )
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """An argparse ``type=`` for integers ``>= low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonneg_int = _int_at_least(0)
+_decay_interval = _int_at_least(MIN_DECAY_INTERVAL)
+
+
+def _float(text: str) -> float:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number, got {text!r}"
         ) from None
+
+
+def _positive_float(text: str) -> float:
+    value = _float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
     return value
+
+
+def _comma_list(item):
+    """An argparse ``type=`` for a comma-separated list of ``item``s."""
+
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(","))
+
+    return parse
 
 
 def _add_exec_flags(parser) -> None:
@@ -127,6 +145,12 @@ def _add_exec_flags(parser) -> None:
         "--timeout", type=_positive_float, default=None,
         help="per-job timeout budget in seconds (stragglers re-run serially)",
     )
+
+
+def _add_point_args(parser) -> None:
+    """The benchmark and technique positionals of a figure-point command."""
+    parser.add_argument("benchmark", choices=BENCHMARK_NAMES)
+    parser.add_argument("technique", choices=TECHNIQUE_NAMES)
 
 
 def _cmd_tables(_args) -> int:
@@ -170,13 +194,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.benchmark not in BENCHMARK_NAMES:
-        print(
-            f"unknown benchmark {args.benchmark!r}; known: "
-            + ", ".join(BENCHMARK_NAMES),
-            file=sys.stderr,
-        )
-        return 2
     technique = technique_by_name(args.technique)
     result = figure_point(
         args.benchmark,
@@ -187,7 +204,6 @@ def _cmd_run(args) -> int:
         adaptive=args.adaptive,
         n_ops=args.ops,
         target=args.target,
-        engine=args.engine,
     )
     rows = [
         ["net savings", f"{result.net_savings_pct:.2f} %"],
@@ -219,7 +235,6 @@ def _cmd_run(args) -> int:
             adaptive=args.adaptive,
             n_ops=args.ops,
             target=args.target,
-            engine=args.engine,
         )
         report = summary.accountant(PAPER_VDD).power_report()
         print()
@@ -235,28 +250,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     technique = technique_by_name(args.technique)
-    temps_c = (
-        tuple(float(t) for t in args.temps.split(",")) if args.temps else None
-    )
-    intervals = (
-        tuple(int(i) for i in args.intervals.split(","))
-        if args.intervals
-        else None
-    )
-    kwargs = {} if intervals is None else {"intervals": intervals}
     with _make_scheduler(args) as scheduler:
         results = interval_sweep(
             args.benchmark,
             technique,
+            intervals=args.intervals,
             l2_latency=args.l2,
             temp_c=args.temp,
             n_ops=args.ops,
             scheduler=scheduler,
-            temps_c=temps_c,
-            engine=args.engine,
-            **kwargs,
+            temps_c=args.temps,
         )
-    with_temp = temps_c is not None
+    with_temp = args.temps is not None
     rows = [
         ([f"{r.temp_c:5.1f}"] if with_temp else [])
         + [
@@ -299,13 +304,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    if args.benchmark not in BENCHMARK_NAMES:
-        print(
-            f"unknown benchmark {args.benchmark!r}; known: "
-            + ", ".join(BENCHMARK_NAMES),
-            file=sys.stderr,
-        )
-        return 2
     ops = TraceGenerator(args.benchmark, seed=args.seed).ops(args.ops)
     count = write_trace(args.path, ops)
     print(f"wrote {count} micro-ops to {args.path} "
@@ -332,12 +330,7 @@ def _cmd_bench(args) -> int:
         except OSError as exc:
             print(f"error reading baseline: {exc}", file=sys.stderr)
             return 2
-    report = run_bench(
-        quick=args.quick,
-        repeats=args.repeats,
-        baseline=baseline,
-        progress=print,
-    )
+    report = run_bench(repeats=args.repeats, progress=print)
     write_report(report, args.output)
     print(f"report written to {args.output}")
     if args.check:
@@ -360,13 +353,6 @@ def _cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    if args.benchmark not in BENCHMARK_NAMES:
-        print(
-            f"unknown benchmark {args.benchmark!r}; known: "
-            + ", ".join(BENCHMARK_NAMES),
-            file=sys.stderr,
-        )
-        return 2
     technique = technique_by_name(args.technique)
     kwargs = dict(
         l2_latency=args.l2,
@@ -624,11 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=_cmd_figure)
 
     run = sub.add_parser("run", help="one benchmark under one technique")
-    run.add_argument("benchmark")
-    run.add_argument("technique", help="drowsy, gated-vss or rbb")
+    _add_point_args(run)
     run.add_argument("--l2", type=int, default=11, help="L2 latency (cycles)")
     run.add_argument("--temp", type=float, default=110.0, help="temperature (C)")
-    run.add_argument("--interval", type=int, default=4096, help="decay interval")
+    run.add_argument(
+        "--interval", type=_decay_interval, default=4096, help="decay interval"
+    )
     run.add_argument("--adaptive", action="store_true", help="online adaptation")
     run.add_argument(
         "--target",
@@ -640,30 +627,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--power", action="store_true",
         help="also print the Wattch-style dynamic power breakdown",
     )
-    run.add_argument(
-        "--engine", choices=("ooo", "fast"), default="ooo",
-        help="timing engine: cycle-level out-of-order or fast analytical",
-    )
     run.add_argument("--ops", type=int, default=20_000)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="decay-interval sweep")
-    sweep.add_argument("benchmark")
-    sweep.add_argument("technique")
+    _add_point_args(sweep)
     sweep.add_argument("--l2", type=int, default=11)
     sweep.add_argument("--temp", type=float, default=85.0)
     sweep.add_argument(
-        "--temps",
-        help="comma-separated temperature grid (C); expands each interval "
-        "across the grid via the batched analytic re-reduction",
+        "--temps", type=_comma_list(_float),
+        help="comma-separated temperature grid (C), replacing --temp: one "
+        "exactly reduced point per (interval, temperature)",
     )
     sweep.add_argument(
-        "--intervals",
+        "--intervals", type=_comma_list(_decay_interval),
+        default=SWEEP_INTERVALS,
         help="comma-separated decay intervals (default: the standard grid)",
-    )
-    sweep.add_argument(
-        "--engine", choices=("ooo", "fast"), default="ooo",
-        help="timing engine for every point",
     )
     sweep.add_argument("--ops", type=int, default=20_000)
     _add_exec_flags(sweep)
@@ -842,15 +821,11 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(func=_cmd_diff)
 
     bench = sub.add_parser(
-        "bench", help="time the simulation hot path and write BENCH.json"
+        "bench", help="run the hot-path performance gates, write BENCH.json"
     )
     bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke subset with fewer repeats",
-    )
-    bench.add_argument(
-        "--repeats", type=_positive_int, default=None,
-        help="timed iterations per scenario (min-of-N is reported)",
+        "--repeats", type=_positive_int, default=DEFAULT_REPEATS,
+        help="timed iterations per comparison (min-of-N is reported)",
     )
     bench.add_argument(
         "--output", default="BENCH.json", help="report path (JSON)"
@@ -874,11 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile", help="cProfile one figure point (hot-path diagnosis)"
     )
-    prof.add_argument("benchmark")
-    prof.add_argument("technique", help="drowsy, gated-vss or rbb")
+    _add_point_args(prof)
     prof.add_argument("--l2", type=int, default=11, help="L2 latency (cycles)")
     prof.add_argument("--temp", type=float, default=110.0)
-    prof.add_argument("--interval", type=int, default=4096)
+    prof.add_argument("--interval", type=_decay_interval, default=4096)
     prof.add_argument("--ops", type=int, default=20_000)
     prof.add_argument(
         "--sort", default="cumulative",
@@ -900,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=_cmd_validate)
 
     gen = sub.add_parser("gen-trace", help="write a synthetic trace to a file")
-    gen.add_argument("benchmark")
+    gen.add_argument("benchmark", choices=BENCHMARK_NAMES)
     gen.add_argument("path")
     gen.add_argument("--ops", type=int, default=50_000)
     gen.add_argument("--seed", type=int, default=1)

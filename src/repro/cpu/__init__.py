@@ -1,13 +1,8 @@
-"""Cycle-level out-of-order CPU model (the SimpleScalar/Wattch stand-in).
-
-Two timing engines share this package: the cycle-level reference
-(:class:`Pipeline`) and the analytical fast engine (:class:`FastPipeline`).
-"""
+"""Cycle-level out-of-order CPU model (the SimpleScalar/Wattch stand-in)."""
 
 from repro.cpu.branch import BranchTargetBuffer, HybridPredictor, PredictorStats
 from repro.cpu.config import PAPER_L2_LATENCIES, PAPER_MACHINE, MachineConfig
 from repro.cpu.isa import FP_OPS, MEM_OPS, N_REGS, MicroOp, OpClass
-from repro.cpu.fastmodel import FastPipeline
 from repro.cpu.metrics import RunStats
 from repro.cpu.pipeline import Pipeline
 
@@ -24,6 +19,5 @@ __all__ = [
     "BranchTargetBuffer",
     "PredictorStats",
     "Pipeline",
-    "FastPipeline",
     "RunStats",
 ]

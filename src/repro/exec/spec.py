@@ -3,9 +3,9 @@
 A :class:`RunSpec` captures every input that determines the outcome of one
 :func:`repro.experiments.runner.figure_point` invocation — benchmark,
 technique, machine (L2 latency), decay parameters, run length, seed,
-supply, controlled target and timing engine.  Because every run is
-seed-deterministic, the spec *is* the result up to code version: two specs
-with equal content hashes always produce bit-identical
+supply and controlled target.  Because every run is seed-deterministic,
+the spec *is* the result up to code version: two specs with equal
+content hashes always produce bit-identical
 :class:`~repro.leakctl.energy.NetSavingsResult` objects, which is what
 makes the content-addressed :class:`~repro.exec.store.ResultStore` sound.
 
@@ -21,13 +21,13 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any
 
+from repro.leakctl.base import TECHNIQUE_NAMES
+
 CODE_VERSION = "1"
 """Content-hash salt.  Bump on any change that alters simulation output."""
 
-_TECHNIQUES = ("drowsy", "gated-vss", "gated", "rbb")
 _POLICIES = ("noaccess", "simple")
 _TARGETS = ("l1d", "l1i", "l2")
-_ENGINES = ("ooo", "fast")
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,12 @@ class RunSpec:
     seed: int = 1
     vdd: float = 0.9
     target: str = "l1d"
-    engine: str = "ooo"
 
     def __post_init__(self) -> None:
         for field_name, value, known in (
-            ("technique", self.technique, _TECHNIQUES),
+            ("technique", self.technique, TECHNIQUE_NAMES),
             ("policy", self.policy, _POLICIES),
             ("target", self.target, _TARGETS),
-            ("engine", self.engine, _ENGINES),
         ):
             if value not in known:
                 raise ValueError(
@@ -82,7 +80,11 @@ class RunSpec:
         Any field change — and any ``CODE_VERSION`` bump — yields a new
         key; equal specs always collide.
         """
-        payload = {"code_version": CODE_VERSION, "spec": self.to_dict()}
+        # "engine" names the deleted fast timing engine; it stays in the
+        # hashed form so that every existing store key stays valid until
+        # the next CODE_VERSION bump re-keys the store.
+        spec = {**self.to_dict(), "engine": "ooo"}
+        payload = {"code_version": CODE_VERSION, "spec": spec}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -109,5 +111,4 @@ class RunSpec:
             seed=self.seed,
             vdd=self.vdd,
             target=self.target,
-            engine=self.engine,
         )

@@ -13,10 +13,6 @@ from repro.experiments.figures import (
 )
 
 
-def _rule(widths: list[int]) -> str:
-    return "+".join("-" * (w + 2) for w in widths).join("++")
-
-
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
     """Simple fixed-width ASCII table."""
     widths = [len(h) for h in headers]

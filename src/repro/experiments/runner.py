@@ -30,13 +30,7 @@ from repro.cpu.pipeline import Pipeline
 from repro.leakage.model import HotLeakage
 from repro.leakage.structures import CacheLeakageModel
 from repro.leakctl.adaptive import AdaptiveControlledCache
-from repro.leakctl.base import (
-    DecayPolicy,
-    TechniqueConfig,
-    drowsy_technique,
-    gated_vss_technique,
-    rbb_technique,
-)
+from repro.leakctl.base import DecayPolicy, TechniqueConfig, technique_by_name
 from repro.leakctl.controlled import ControlledCache, StandbyStats
 from repro.leakctl.energy import NetSavingsResult, net_savings
 from repro.memo import LRUMemo, reset_all
@@ -75,21 +69,6 @@ def _trace_cached(
 # 1k..32k (the top octave never decays anything within our compressed
 # runs; see EXPERIMENTS.md).
 SWEEP_INTERVALS = (1024, 2048, 4096, 8192, 16384, 32768)
-
-
-def technique_by_name(name: str) -> TechniqueConfig:
-    """Resolve a technique name used by the CLI-ish entry points."""
-    factories = {
-        "drowsy": drowsy_technique,
-        "gated-vss": gated_vss_technique,
-        "gated": gated_vss_technique,
-        "rbb": rbb_technique,
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        known = ", ".join(sorted(factories))
-        raise KeyError(f"unknown technique {name!r}; known: {known}") from None
 
 
 @dataclass
@@ -290,7 +269,6 @@ def run_once(
     vdd: float = PAPER_VDD,
     target: str = "l1d",
     trace_ops=None,
-    engine: str = "ooo",
     reference: bool = False,
 ) -> RunOutput:
     """Run one benchmark once (baseline when ``technique`` is None).
@@ -301,9 +279,6 @@ def run_once(
     :class:`~repro.cpu.isa.MicroOp`, e.g. from
     :func:`repro.workloads.read_trace`) replaces the synthetic generator;
     the first ``warmup_ops`` of it feed the functional warmup.
-    ``engine`` selects the timing model: ``"ooo"`` (the cycle-level
-    out-of-order reference) or ``"fast"`` (analytical timing for wide
-    sweeps; identical cache/energy state, estimated cycle count).
     ``reference`` selects the unoptimised slow paths everywhere — the
     cycle-by-cycle pipeline loop, the periodic full-array decay scan, and
     the stdlib ``random.Random`` trace generator.  Results are
@@ -312,8 +287,6 @@ def run_once(
     """
     if target not in ("l1d", "l1i", "l2"):
         raise ValueError(f"unknown control target {target!r}")
-    if engine not in ("ooo", "fast"):
-        raise ValueError(f"unknown engine {engine!r}")
     accountant = EnergyAccountant(config=default_power_config(vdd=vdd))
     controlled = None
     if technique is not None:
@@ -336,12 +309,7 @@ def run_once(
         )
     kwargs = {target: controlled} if controlled is not None else {}
     hierarchy = MemoryHierarchy(machine, accountant, **kwargs)
-    if engine == "fast":
-        from repro.cpu.fastmodel import FastPipeline
-
-        pipeline = FastPipeline(machine, hierarchy, accountant)
-    else:
-        pipeline = Pipeline(machine, hierarchy, accountant, reference=reference)
+    pipeline = Pipeline(machine, hierarchy, accountant, reference=reference)
     # Bounded time-series telemetry rides along when observability is on.
     # It only ever *records* — results are bit-identical either way, and
     # the recorder travels in the scheduler's metadata, never the result.
@@ -447,7 +415,6 @@ def _simulated(
     n_ops: int,
     seed: int,
     target: str,
-    engine: str,
     recording: bool,
 ) -> SimSummary:
     """One simulation per T/Vdd-free key, shared by every operating point.
@@ -466,7 +433,6 @@ def _simulated(
         n_ops=n_ops,
         seed=seed,
         target=target,
-        engine=engine,
     )
     return SimSummary(
         cycles=out.stats.cycles,
@@ -488,7 +454,6 @@ def simulation_summary(
     n_ops: int = DEFAULT_N_OPS,
     seed: int = DEFAULT_SEED,
     target: str = "l1d",
-    engine: str = "ooo",
 ) -> SimSummary:
     """The memoised T/Vdd-free summary of one run (baseline when
     ``technique`` is None) — the simulation :func:`figure_point` reduces
@@ -503,7 +468,7 @@ def simulation_summary(
         )
     return _simulated(
         benchmark, technique, l2_latency, decay_interval, policy, adaptive,
-        n_ops, seed, target, engine, _obs.is_enabled(),
+        n_ops, seed, target, _obs.is_enabled(),
     )
 
 
@@ -544,7 +509,6 @@ def figure_point(
     seed: int = DEFAULT_SEED,
     vdd: float = PAPER_VDD,
     target: str = "l1d",
-    engine: str = "ooo",
 ) -> NetSavingsResult:
     """One (benchmark, technique) point of a paper figure.
 
@@ -558,8 +522,7 @@ def figure_point(
     """
     _obs.incr("runner.figure_points")
     base = simulation_summary(
-        benchmark, None, l2_latency=l2_latency, n_ops=n_ops, seed=seed,
-        engine=engine,
+        benchmark, None, l2_latency=l2_latency, n_ops=n_ops, seed=seed
     )
     sim = simulation_summary(
         benchmark,
@@ -571,7 +534,6 @@ def figure_point(
         n_ops=n_ops,
         seed=seed,
         target=target,
-        engine=engine,
     )
     model = _leakage_model_cached(temp_c, vdd, target)
     if sim.recorder is not None and len(sim.recorder):

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.experiments.runner import (
     DEFAULT_N_OPS,
     DEFAULT_SEED,
@@ -26,8 +24,6 @@ from repro.experiments.runner import (
 )
 from repro.leakctl.base import drowsy_technique, gated_vss_technique
 from repro.leakctl.energy import NetSavingsResult
-from repro.tech.constants import celsius_to_kelvin
-from repro.tech.nodes import PAPER_VDD, get_node
 
 
 @dataclass(frozen=True)
@@ -121,77 +117,6 @@ def sensitivity_sweep(
     return points
 
 
-# ---------------------------------------------------------------------------
-# Temperature axis (batched)
-# ---------------------------------------------------------------------------
-
-
-def temperature_scale_factors(
-    temps_c,
-    *,
-    ref_temp_c: float,
-    vdd: float = PAPER_VDD,
-    node_name: str = "70nm",
-    variation=None,
-) -> np.ndarray:
-    """Cell-array leakage-power scale s(T) / s(T_ref) over a temperature grid.
-
-    One vectorised evaluation of the retention-cell power
-    (:func:`repro.leakage.batch.sram_cell_power_grid`) over the whole grid
-    — this is the dense-temperature-grid kernel that the scalar path walks
-    one :class:`CacheLeakageModel` construction at a time.
-    """
-    from repro.leakage import batch
-
-    node = get_node(node_name)
-    temps_k = [celsius_to_kelvin(t) for t in [ref_temp_c, *temps_c]]
-    powers = batch.sram_cell_power_grid(
-        node, temps_k=temps_k, vdds=[vdd], variation=variation
-    )[:, 0]
-    return powers[1:] / powers[0]
-
-
-def temperature_profile(
-    result: NetSavingsResult,
-    temps_c,
-    *,
-    vdd: float = PAPER_VDD,
-    variation=None,
-) -> list[NetSavingsResult]:
-    """Re-evaluate one figure point across a temperature grid, analytically.
-
-    The simulation half of a figure point (cycle counts, event counts,
-    dynamic energies) does not depend on temperature — only the analytic
-    leakage reduction does.  This expands a stored result across
-    ``temps_c`` by scaling every leakage term with the batched cell-array
-    leakage ratio relative to ``result.temp_c``, computed in one
-    vectorised grid evaluation.
-
-    First-order in the same sense as :func:`perturbed`: the dominant
-    SRAM-array temperature dependence is exact, while the much weaker
-    temperature dependence of the standby residual *fractions* and of the
-    edge-logic share is folded into the common scale.  Use
-    :func:`repro.experiments.runner.figure_point` per temperature when the
-    exact reduction is required (points that differ only in temperature
-    share one simulation); use this for dense grids (Sultan et al.'s
-    leakage-vs-temperature question, Bai et al.'s multi-level trade-off
-    maps) where the scalar path is prohibitively slow.
-    """
-    scales = temperature_scale_factors(
-        temps_c, ref_temp_c=result.temp_c, vdd=vdd, variation=variation
-    )
-    return [
-        replace(
-            result,
-            temp_c=t,
-            leak_baseline_j=result.leak_baseline_j * s,
-            leak_technique_j=result.leak_technique_j * s,
-            uncontrolled_power_w=result.uncontrolled_power_w * s,
-        )
-        for t, s in zip(temps_c, scales.tolist())
-    ]
-
-
 @dataclass(frozen=True)
 class TemperaturePoint:
     """Drowsy-vs-gated verdict at one temperature of a profile."""
@@ -210,33 +135,27 @@ def temperature_sensitivity(
     *,
     temps_c: tuple[float, ...] = (45.0, 70.0, 85.0, 110.0, 125.0),
     l2_latency: int = 5,
-    ref_temp_c: float = 110.0,
     n_ops: int = DEFAULT_N_OPS,
     seed: int = DEFAULT_SEED,
 ) -> list[TemperaturePoint]:
     """How the drowsy/gated verdict moves with operating temperature.
 
-    Runs one (drowsy, gated) simulation pair at ``ref_temp_c`` and expands
-    both across the temperature grid with :func:`temperature_profile` —
-    the whole grid costs two simulations plus one batched grid evaluation.
+    One drowsy and one gated :func:`figure_point` per temperature: the
+    three simulations (baseline, drowsy, gated) run once, and every
+    temperature is an exact reduction of them.
     """
-    drowsy = figure_point(
-        benchmark, drowsy_technique(), l2_latency=l2_latency,
-        temp_c=ref_temp_c, n_ops=n_ops, seed=seed,
-    )
-    gated = figure_point(
-        benchmark, gated_vss_technique(), l2_latency=l2_latency,
-        temp_c=ref_temp_c, n_ops=n_ops, seed=seed,
-    )
-    d_grid = temperature_profile(drowsy, temps_c)
-    g_grid = temperature_profile(gated, temps_c)
+    kwargs = dict(l2_latency=l2_latency, n_ops=n_ops, seed=seed)
     return [
         TemperaturePoint(
             temp_c=t,
-            drowsy_net_pct=d.net_savings_pct,
-            gated_net_pct=g.net_savings_pct,
+            drowsy_net_pct=figure_point(
+                benchmark, drowsy_technique(), temp_c=t, **kwargs
+            ).net_savings_pct,
+            gated_net_pct=figure_point(
+                benchmark, gated_vss_technique(), temp_c=t, **kwargs
+            ).net_savings_pct,
         )
-        for t, d, g in zip(temps_c, d_grid, g_grid)
+        for t in temps_c
     ]
 
 

@@ -36,27 +36,27 @@ def _spec_compatible(technique: TechniqueConfig) -> bool:
         return False
 
 
-def _expand_temperatures(
-    results: list[NetSavingsResult], temps_c: tuple[float, ...] | None
+def _figure_points(
+    benchmark: str,
+    technique: TechniqueConfig,
+    points: list[dict],
+    scheduler: Scheduler | None,
 ) -> list[NetSavingsResult]:
-    """Expand each swept point across a temperature grid (batched).
+    """One figure point per keyword dict of ``points``, in order.
 
-    Uses the vectorised analytic re-reduction
-    (:func:`repro.experiments.sensitivity.temperature_profile`), so an
-    N-point sweep over a T-point temperature grid costs N simulations and
-    one batched leakage-grid evaluation — not N x T simulations.  Results
-    are ordered point-major: all temperatures of the first swept point,
-    then the second, and so on.
+    With a ``scheduler`` the points are submitted as one batch (parallel,
+    cached); without one — or for ablated techniques a :class:`RunSpec`
+    cannot describe — each point runs in-process.  Either way a point is
+    one memoised simulation pair reduced exactly at its own (T, Vdd).
     """
-    if temps_c is None:
-        return results
-    from repro.experiments.sensitivity import temperature_profile
-
-    return [
-        expanded
-        for result in results
-        for expanded in temperature_profile(result, temps_c)
-    ]
+    if scheduler is not None and _spec_compatible(technique):
+        return scheduler.run(
+            [
+                RunSpec(benchmark=benchmark, technique=technique.name, **point)
+                for point in points
+            ]
+        )
+    return [figure_point(benchmark, technique, **point) for point in points]
 
 
 def interval_sweep(
@@ -70,49 +70,29 @@ def interval_sweep(
     seed: int = DEFAULT_SEED,
     scheduler: Scheduler | None = None,
     temps_c: tuple[float, ...] | None = None,
-    engine: str = "ooo",
 ) -> list[NetSavingsResult]:
     """Net-savings results across the decay-interval grid.
 
-    With a ``scheduler``, the grid is submitted as one batch (parallel,
-    cached); without one — or for ablated techniques a
-    :class:`RunSpec` cannot describe — each point runs in-process.
-
-    ``temps_c`` adds a temperature axis: each interval's result is
-    expanded across the grid by the batched analytic re-reduction (see
-    :func:`_expand_temperatures`; ordering is interval-major).
-    ``engine`` selects the timing engine for every point.
+    ``temps_c``, when given, replaces ``temp_c`` with a temperature axis:
+    one figure point per (interval, T), ordered interval-major.  Points
+    that differ only in temperature share one simulation.
     """
-    if scheduler is not None and _spec_compatible(technique):
-        specs = [
-            RunSpec(
-                benchmark=benchmark,
-                technique=technique.name,
-                l2_latency=l2_latency,
-                temp_c=temp_c,
-                decay_interval=interval,
-                n_ops=n_ops,
-                seed=seed,
-                engine=engine,
-            )
-            for interval in intervals
-        ]
-        return _expand_temperatures(scheduler.run(specs), temps_c)
-    return _expand_temperatures(
+    temps = (temp_c,) if temps_c is None else temps_c
+    return _figure_points(
+        benchmark,
+        technique,
         [
-            figure_point(
-                benchmark,
-                technique,
+            dict(
                 l2_latency=l2_latency,
-                temp_c=temp_c,
+                temp_c=t,
                 decay_interval=interval,
                 n_ops=n_ops,
                 seed=seed,
-                engine=engine,
             )
             for interval in intervals
+            for t in temps
         ],
-        temps_c,
+        scheduler,
     )
 
 
@@ -240,45 +220,23 @@ def l2_latency_sweep(
     seed: int = DEFAULT_SEED,
     scheduler: Scheduler | None = None,
     temps_c: tuple[float, ...] | None = None,
-    engine: str = "ooo",
 ) -> list[NetSavingsResult]:
     """Net-savings results across the paper's L2-latency grid.
 
-    ``temps_c`` adds a temperature axis to the grid, expanded by the
-    batched analytic re-reduction (see :func:`_expand_temperatures`;
-    ordering is latency-major).  ``engine`` selects the timing engine.
+    ``temps_c``, when given, replaces ``temp_c`` with a temperature axis:
+    one figure point per (latency, T), ordered latency-major.
     """
     kwargs = {} if decay_interval is None else {"decay_interval": decay_interval}
-    if scheduler is not None and _spec_compatible(technique):
-        specs = [
-            RunSpec(
-                benchmark=benchmark,
-                technique=technique.name,
-                l2_latency=latency,
-                temp_c=temp_c,
-                n_ops=n_ops,
-                seed=seed,
-                engine=engine,
-                **kwargs,
-            )
-            for latency in latencies
-        ]
-        return _expand_temperatures(scheduler.run(specs), temps_c)
-    return _expand_temperatures(
+    temps = (temp_c,) if temps_c is None else temps_c
+    return _figure_points(
+        benchmark,
+        technique,
         [
-            figure_point(
-                benchmark,
-                technique,
-                l2_latency=latency,
-                temp_c=temp_c,
-                n_ops=n_ops,
-                seed=seed,
-                engine=engine,
-                **kwargs,
-            )
+            dict(l2_latency=latency, temp_c=t, n_ops=n_ops, seed=seed, **kwargs)
             for latency in latencies
+            for t in temps
         ],
-        temps_c,
+        scheduler,
     )
 
 
@@ -288,30 +246,26 @@ def temperature_sweep(
     *,
     temps_c: tuple[float, ...],
     l2_latency: int = 11,
-    ref_temp_c: float = 110.0,
     decay_interval: int | None = None,
     n_ops: int = DEFAULT_N_OPS,
     seed: int = DEFAULT_SEED,
-    engine: str = "ooo",
 ) -> list[NetSavingsResult]:
-    """Net-savings results across a dense temperature grid.
+    """Net-savings results across a temperature grid.
 
-    One simulation at ``ref_temp_c``, then the batched analytic
-    re-reduction across ``temps_c`` — a 100-point grid costs one run
-    plus a single vectorised leakage-grid evaluation.  ``engine`` selects
-    the timing engine for the anchor run.
+    One :func:`figure_point` per temperature: the baseline and technique
+    simulations run once, and each temperature is an exact reduction of
+    them.
     """
     kwargs = {} if decay_interval is None else {"decay_interval": decay_interval}
-    anchor = figure_point(
-        benchmark,
-        technique,
-        l2_latency=l2_latency,
-        temp_c=ref_temp_c,
-        n_ops=n_ops,
-        seed=seed,
-        engine=engine,
-        **kwargs,
-    )
-    from repro.experiments.sensitivity import temperature_profile
-
-    return temperature_profile(anchor, temps_c)
+    return [
+        figure_point(
+            benchmark,
+            technique,
+            l2_latency=l2_latency,
+            temp_c=t,
+            n_ops=n_ops,
+            seed=seed,
+            **kwargs,
+        )
+        for t in temps_c
+    ]

@@ -2,20 +2,18 @@
 
 The scalar functions in :mod:`repro.leakage.bsim3`, :mod:`repro.leakage.gate`
 and :mod:`repro.circuits.library` are the bit-identical *reference*: one
-Python call per (temperature, Vdd, parameter) point.  Dense grids — the
-inter-die variation averaging (200 samples per cell), temperature sweeps à
-la Sultan et al., and (temperature x Vdd x node) parameter studies — pay
-Python interpreter overhead per point through that path.  This module
-re-implements the same equations over NumPy arrays so an entire grid or
-sample population evaluates in one shot.
+Python call per (temperature, Vdd, parameter) point.  The inter-die
+variation averaging (200 samples per cell) pays Python interpreter
+overhead per sample through that path.  This module re-implements the
+same equations over NumPy arrays so a whole sample population evaluates
+in one shot.
 
 Every kernel broadcasts its array arguments together (NumPy rules), keeps
 the technology node fixed per call, and agrees with the scalar reference to
 better than 1e-12 relative error everywhere — pinned by the scalar-vs-batch
 equivalence matrix in ``tests/test_golden_equivalence.py`` and the
 property-based tests in ``tests/test_properties.py``.  The speed gap
-(>= 10x on the variation averaging and on a 100-point temperature sweep) is
-gated in CI by the ``repro bench`` batch scenarios.
+(>= 10x on the variation averaging) is gated in CI by ``repro bench``.
 
 Naming: each kernel carries the scalar function's name; import the module
 qualified (``from repro.leakage import batch`` then ``batch.unit_leakage``)
@@ -408,126 +406,3 @@ def sram_retention_leakage(
         )
 
     return mean_leakage_with_variation_batch(sample, variation)
-
-
-# ---------------------------------------------------------------------------
-# Grid evaluators
-# ---------------------------------------------------------------------------
-
-
-def unit_leakage_grid(
-    node: TechnologyNode,
-    *,
-    temps_k,
-    vdds,
-    pmos: bool = False,
-    vth_shift: float = 0.0,
-    variation: VariationSpec | None = None,
-) -> np.ndarray:
-    """Unit leakage (A) over a dense (temperature x Vdd) grid, in one shot.
-
-    Returns a ``(len(temps_k), len(vdds))`` array.  With ``variation``, a
-    third sample axis is broadcast in and averaged out — the whole
-    (T x Vdd x N_samples) cube is a single vectorised evaluation.
-    """
-    temps = np.asarray(temps_k, dtype=np.float64).reshape(-1, 1)
-    vdds = np.asarray(vdds, dtype=np.float64).reshape(1, -1)
-    if variation is None:
-        return unit_leakage(
-            node, vdd=vdds, temp_k=temps, pmos=pmos, vth_shift=vth_shift
-        )
-    samples = _variation_samples(variation)  # (N, 4)
-    length_m = samples[:, 0].reshape(1, 1, -1)
-    tox_m = samples[:, 1].reshape(1, 1, -1)
-    vdd_m = samples[:, 2].reshape(1, 1, -1)
-    vth_m = samples[:, 3].reshape(1, 1, -1)
-    vth0 = node.vth_p if pmos else node.vth_n
-    cube = unit_leakage(
-        node,
-        vdd=vdds[:, :, np.newaxis] * vdd_m,
-        temp_k=temps[:, :, np.newaxis],
-        pmos=pmos,
-        vth_shift=vth_shift + vth0 * (vth_m - 1.0),
-        length_mult=length_m,
-        tox_mult=tox_m,
-    )
-    return cube.mean(axis=-1)
-
-
-def sram_cell_power_grid(
-    node: TechnologyNode,
-    *,
-    temps_k,
-    vdds,
-    access_vth_shift: float = 0.0,
-    variation: VariationSpec | None = None,
-    include_gate: bool = True,
-) -> np.ndarray:
-    """Static power (W) of one retention 6T bit over a (T x Vdd) grid.
-
-    Subthreshold (variation-averaged when requested) plus, optionally, the
-    gate-tunnelling term of the two ON devices — the same composition as
-    :meth:`repro.leakage.cells.SRAMCellModel.power`, evaluated for the
-    whole grid in one vectorised pass.  This is the evaluator behind the
-    temperature-axis expansion in :mod:`repro.experiments.sweeps` and
-    :mod:`repro.experiments.sensitivity`.
-    """
-    from repro.circuits.library import SRAM_PULLDOWN_WL, SRAM_PULLUP_WL
-
-    temps = np.asarray(temps_k, dtype=np.float64).reshape(-1, 1)
-    vdds_arr = np.asarray(vdds, dtype=np.float64).reshape(1, -1)
-    if variation is None:
-        sub = sram6t_leakage(
-            node, vdd=vdds_arr, temp_k=temps, access_vth_shift=access_vth_shift
-        )
-    else:
-        samples = _variation_samples(variation)
-        cube = sram6t_leakage(
-            node,
-            vdd=vdds_arr[:, :, np.newaxis] * samples[:, 2].reshape(1, 1, -1),
-            temp_k=temps[:, :, np.newaxis],
-            access_vth_shift=access_vth_shift,
-            vth_mult=samples[:, 3].reshape(1, 1, -1),
-            tox_mult=samples[:, 1].reshape(1, 1, -1),
-            length_mult=samples[:, 0].reshape(1, 1, -1),
-        )
-        sub = cube.mean(axis=-1)
-    total = sub
-    if include_gate:
-        gate = transistor_gate_leakage(
-            node, w_over_l=SRAM_PULLDOWN_WL, vdd=vdds_arr, temp_k=temps
-        ) + transistor_gate_leakage(
-            node, w_over_l=SRAM_PULLUP_WL, vdd=vdds_arr, temp_k=temps
-        )
-        total = sub + gate
-    return vdds_arr * total
-
-
-def leakage_vs_temperature(
-    node: TechnologyNode,
-    temps_k,
-    *,
-    vdd: float | None = None,
-    pmos: bool = False,
-) -> np.ndarray:
-    """Unit leakage over a temperature sweep, as one array evaluation.
-
-    Batch counterpart of :func:`repro.leakage.bsim3.leakage_vs_temperature`
-    (the Figure 1c axis and the Sultan-et-al. linearity study's input).
-    """
-    return unit_leakage(
-        node, vdd=vdd, temp_k=np.asarray(temps_k, dtype=np.float64), pmos=pmos
-    )
-
-
-def leakage_vs_vdd(
-    node: TechnologyNode,
-    vdds,
-    *,
-    temp_k: float = ROOM_TEMP_K,
-    pmos: bool = False,
-) -> np.ndarray:
-    """Unit leakage over a supply sweep (Figure 1b axis), one evaluation."""
-    return unit_leakage(
-        node, vdd=np.asarray(vdds, dtype=np.float64), temp_k=temp_k, pmos=pmos
-    )

@@ -49,12 +49,6 @@ from repro.tech.nodes import TechnologyNode, get_node
 _KDESIGN_MEMO = LRUMemo(maxsize=512)
 
 
-def clear_kdesign_memo() -> None:
-    """Drop every memoised k_design derivation (tests and benchmarks)."""
-    _KDESIGN_MEMO.clear()
-    kdesign_surface.cache_clear()
-
-
 @dataclass(frozen=True)
 class KDesign:
     """Derived design factors for one cell at one (Vdd, T) point."""

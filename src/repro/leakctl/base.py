@@ -177,6 +177,26 @@ def rbb_technique(*, bias: float = 0.5, decay_tags: bool = True) -> TechniqueCon
     )
 
 
+_FACTORIES = {
+    "drowsy": drowsy_technique,
+    "gated-vss": gated_vss_technique,
+    "gated": gated_vss_technique,
+    "rbb": rbb_technique,
+}
+
+TECHNIQUE_NAMES: tuple[str, ...] = tuple(_FACTORIES)
+"""Every name :func:`technique_by_name` resolves ("gated" is gated-Vss)."""
+
+
+def technique_by_name(name: str) -> TechniqueConfig:
+    """Resolve a technique name used by the CLI-ish entry points."""
+    try:
+        return _FACTORIES[name]()
+    except KeyError:
+        known = ", ".join(sorted(_FACTORIES))
+        raise KeyError(f"unknown technique {name!r}; known: {known}") from None
+
+
 class DecayPolicy(Enum):
     """When lines are sent to standby (paper Section 2.3).
 

@@ -54,6 +54,9 @@ class AccessOutcome:
     fill_ready_cycle: int = 0
 
 
+MIN_DECAY_INTERVAL = 8
+"""Smallest decay interval (cycles) a :class:`ControlledCache` accepts."""
+
 # Shared result for the overwhelmingly common penalty-free hit (the
 # dataclass is frozen, so one instance serves every such access).
 _FAST_HIT = AccessOutcome(hit=True)
@@ -133,7 +136,7 @@ class ControlledCache:
         bank_sets: int = 1,
         reference: bool = False,
     ) -> None:
-        if decay_interval < 8:
+        if decay_interval < MIN_DECAY_INTERVAL:
             raise ValueError(f"decay interval too small: {decay_interval}")
         if bank_sets < 1 or cache.geometry.n_sets % bank_sets:
             raise ValueError(

@@ -167,17 +167,6 @@ class EnergyAccountant:
         self.cycles += 1
         self.issued_total += issued
 
-    def add_cycles(self, n: int, issued: int = 0) -> None:
-        """Account ``n`` cycles at once (event-driven cycle skipping).
-
-        The clock model depends only on the cycle and issue totals, so a
-        bulk add is exactly equivalent to ``n`` calls of :meth:`add_cycle` —
-        which is what lets the pipeline jump over idle stretches without
-        perturbing energy accounting.
-        """
-        self.cycles += n
-        self.issued_total += issued
-
     def event_energy(self, event: str) -> float:
         """Per-event energy (J) for one occurrence of ``event``."""
         spec = _EVENT_TABLE[event]

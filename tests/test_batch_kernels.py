@@ -3,8 +3,8 @@
 The numerical scalar-vs-batch agreement is pinned by the equivalence
 matrix in ``test_golden_equivalence.py`` and the property-based tests in
 ``test_properties.py``; this file covers everything else — broadcast
-shapes, grid evaluators, the temperature-axis expansion in the experiment
-layer, and the bench harness's batch-speedup gate plumbing.
+shapes, variation averaging, and the bench harness's batch-speedup gate
+plumbing.
 """
 
 from __future__ import annotations
@@ -99,117 +99,6 @@ class TestVariationAveraging:
         assert got == pytest.approx(float(samples.sum(axis=1).mean()))
 
 
-class TestGridEvaluators:
-    def test_unit_leakage_grid_shape_and_monotonicity(self):
-        temps = np.linspace(300.0, 390.0, 4)
-        vdds = np.linspace(0.6, 1.0, 3)
-        grid = batch.unit_leakage_grid(NODE, temps_k=temps, vdds=vdds)
-        assert grid.shape == (4, 3)
-        assert (np.diff(grid, axis=0) > 0).all()  # T axis
-        assert (np.diff(grid, axis=1) > 0).all()  # Vdd axis
-
-    def test_unit_leakage_grid_variation_uplift(self):
-        temps = [300.0, 383.0]
-        vdds = [0.9]
-        nominal = batch.unit_leakage_grid(NODE, temps_k=temps, vdds=vdds)
-        varied = batch.unit_leakage_grid(
-            NODE, temps_k=temps, vdds=vdds, variation=VariationSpec()
-        )
-        assert (varied > nominal).all()
-
-    def test_sram_cell_power_grid_composition(self):
-        temps = [353.0]
-        vdds = [0.9]
-        with_gate = batch.sram_cell_power_grid(NODE, temps_k=temps, vdds=vdds)
-        without = batch.sram_cell_power_grid(
-            NODE, temps_k=temps, vdds=vdds, include_gate=False
-        )
-        assert with_gate.shape == (1, 1)
-        assert with_gate[0, 0] > without[0, 0] > 0.0
-
-    def test_leakage_vs_temperature_matches_scalar_list(self):
-        from repro.leakage.bsim3 import leakage_vs_temperature as scalar_sweep
-
-        temps = [300.0 + 10.0 * i for i in range(10)]
-        got = batch.leakage_vs_temperature(NODE, temps, vdd=0.9)
-        want = np.array(scalar_sweep(NODE, temps, vdd=0.9))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_leakage_vs_vdd_matches_scalar_list(self):
-        from repro.leakage.bsim3 import leakage_vs_vdd as scalar_sweep
-
-        vdds = [0.5 + 0.05 * i for i in range(10)]
-        got = batch.leakage_vs_vdd(NODE, vdds, temp_k=350.0)
-        want = np.array(scalar_sweep(NODE, vdds, temp_k=350.0))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-class TestTemperatureExpansion:
-    """The experiment-layer wiring built on the grid evaluators."""
-
-    def test_scale_factors_reference_point_is_unity(self):
-        from repro.experiments.sensitivity import temperature_scale_factors
-
-        scales = temperature_scale_factors(
-            [110.0, 45.0, 125.0], ref_temp_c=110.0
-        )
-        assert scales[0] == pytest.approx(1.0, rel=1e-12)
-        assert scales[1] < 1.0 < scales[2]
-
-    def test_temperature_profile_scales_leakage_terms(self):
-        from repro.experiments.runner import figure_point, technique_by_name
-        from repro.experiments.sensitivity import (
-            temperature_profile,
-            temperature_scale_factors,
-        )
-
-        anchor = figure_point("mcf", technique_by_name("drowsy"), n_ops=4_000)
-        profile = temperature_profile(anchor, [45.0, anchor.temp_c])
-        scale = temperature_scale_factors([45.0], ref_temp_c=anchor.temp_c)[0]
-        assert profile[0].temp_c == 45.0
-        assert profile[0].leak_baseline_j == pytest.approx(
-            anchor.leak_baseline_j * scale, rel=1e-12
-        )
-        # At the anchor temperature the profile reproduces the result.
-        assert profile[1].leak_baseline_j == pytest.approx(
-            anchor.leak_baseline_j, rel=1e-12
-        )
-        assert profile[1].net_savings_pct == pytest.approx(
-            anchor.net_savings_pct, rel=1e-9
-        )
-
-    def test_temperature_sweep_orders_and_grows(self):
-        from repro.experiments.sweeps import temperature_sweep
-        from repro.leakctl.base import drowsy_technique
-
-        temps = (45.0, 85.0, 125.0)
-        results = temperature_sweep(
-            "mcf", drowsy_technique(), temps_c=temps, n_ops=4_000
-        )
-        assert tuple(r.temp_c for r in results) == temps
-        # Leakage grows with T, so net savings do too.
-        savings = [r.net_savings_pct for r in results]
-        assert savings == sorted(savings)
-
-    def test_interval_sweep_temps_axis(self):
-        from repro.experiments.sweeps import interval_sweep
-        from repro.leakctl.base import drowsy_technique
-
-        results = interval_sweep(
-            "mcf",
-            drowsy_technique(),
-            intervals=(2048, 8192),
-            n_ops=4_000,
-            temps_c=(85.0, 110.0),
-        )
-        assert [(r.decay_interval, r.temp_c) for r in results] == [
-            (2048, 85.0),
-            (2048, 110.0),
-            (8192, 85.0),
-            (8192, 110.0),
-        ]
-
-
 class TestBenchGate:
     def test_check_regression_flags_slow_batch_kernel(self):
         from repro.bench.core import BATCH_SPEEDUP_FLOOR, check_regression
@@ -252,7 +141,7 @@ class TestBenchGate:
         from repro.bench.core import BATCH_SPEEDUP_FLOOR, batch_comparison
 
         result = batch_comparison(repeats=3)
-        assert set(result) == {"variation_mean", "t_sweep_100"}
+        assert set(result) == {"variation_mean"}
         for name, entry in result.items():
             assert entry["speedup"] >= BATCH_SPEEDUP_FLOOR, (
                 f"{name}: {entry['speedup']:.1f}x below the "

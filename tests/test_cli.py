@@ -89,12 +89,16 @@ class TestCommands:
         assert "gcc / drowsy on l1d @ L2=5" in out
 
     def test_run_unknown_benchmark(self, capsys):
-        assert main(["run", "nonesuch", "drowsy"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["run", "nonesuch", "drowsy"])
+        assert err.value.code == 2
+        assert "invalid choice: 'nonesuch'" in capsys.readouterr().err
 
-    def test_run_unknown_technique(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown_technique(self, capsys):
+        with pytest.raises(SystemExit) as err:
             main(["run", "gcc", "quantum"])
+        assert err.value.code == 2
+        assert "invalid choice: 'quantum'" in capsys.readouterr().err
 
     def test_figure_unknown_name(self, capsys):
         assert main(["figure", "99"]) == 2
@@ -128,7 +132,7 @@ class TestPowerFlag:
 
     def test_power_reads_the_simulated_run(self, capsys, monkeypatch):
         """The breakdown comes from the technique run figure_point just
-        simulated (no third simulation), on the requested engine."""
+        simulated (no third simulation)."""
         from repro.cli import main
         from repro.cpu.config import MachineConfig
         from repro.experiments import runner
@@ -136,20 +140,19 @@ class TestPowerFlag:
 
         want = runner.run_once(
             "gcc", technique=drowsy_technique(), machine=MachineConfig(),
-            n_ops=2000, engine="fast",
+            n_ops=2000,
         ).accountant.power_report()
         real_run_once = runner.run_once
         calls = []
 
         def counting_run_once(*args, **kwargs):
-            calls.append(kwargs.get("engine"))
+            calls.append(kwargs["technique"])
             return real_run_once(*args, **kwargs)
 
         monkeypatch.setattr(runner, "run_once", counting_run_once)
-        code = main(["run", "gcc", "drowsy", "--ops", "2000",
-                     "--engine", "fast", "--power"])
+        code = main(["run", "gcc", "drowsy", "--ops", "2000", "--power"])
         assert code == 0
-        assert calls == ["fast", "fast"]  # baseline + technique
+        assert calls == [None, drowsy_technique()]  # baseline + technique
         table = capsys.readouterr().out.split("dynamic power breakdown")[1]
         rows = [line.strip("|").split("|") for line in table.splitlines()]
         got = {
@@ -264,26 +267,61 @@ class TestTraceAndStatsCommands:
         assert not (out / "events.jsonl").exists()
 
 
-class TestEngineFlag:
-    def test_fast_engine_run(self, capsys):
-        from repro.cli import main
+class TestCommandLineValidation:
+    """Names and numbers typed on the command line are checked by argparse:
+    a bad one exits 2 with a usage message before anything runs."""
 
-        code = main(["run", "gcc", "drowsy", "--ops", "2000",
-                     "--engine", "fast"])
-        assert code == 0
-        assert "net savings" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "gcc", "nope"],
+            ["run", "nope", "drowsy"],
+            ["run", "gcc", "drowsy", "--interval", "0"],
+            ["profile", "gcc", "nope"],
+            ["profile", "nope", "drowsy"],
+            ["profile", "gcc", "drowsy", "--interval", "7"],
+            ["gen-trace", "nope", "trace.bin"],
+            ["sweep", "gcc", "nope"],
+            ["sweep", "nope", "drowsy"],
+            ["sweep", "gcc", "drowsy", "--temps", "abc"],
+            ["sweep", "gcc", "drowsy", "--temps", "60,,110"],
+            ["sweep", "gcc", "drowsy", "--intervals", "0"],
+            ["sweep", "gcc", "drowsy", "--intervals", "1024,x"],
+        ],
+    )
+    def test_exits_2_with_usage_and_runs_nothing(
+        self, argv, capsys, monkeypatch
+    ):
+        from repro.exec import Scheduler
 
-    def test_rejects_unknown_engine(self, capsys):
+        jobs = []
+        monkeypatch.setattr(
+            Scheduler, "run", lambda self, specs, *a, **k: jobs.extend(specs)
+        )
         with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(
-                ["sweep", "gcc", "drowsy", "--engine", "warp"]
-            )
+            main(argv)
         assert err.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "usage:" in capsys.readouterr().err
+        assert jobs == []
 
-    def test_sweep_engine_choices_cover_all_tiers(self):
-        for engine in ("ooo", "fast"):
-            args = build_parser().parse_args(
-                ["sweep", "gcc", "drowsy", "--engine", engine]
-            )
-            assert args.engine == engine
+    def test_interval_floor_is_the_controlled_cache_floor(self, capsys):
+        from repro.leakctl.controlled import MIN_DECAY_INTERVAL
+
+        low = str(MIN_DECAY_INTERVAL - 1)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "gcc", "drowsy", "--interval", low])
+        assert f"must be >= {MIN_DECAY_INTERVAL}" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["sweep", "gcc", "drowsy", "--intervals", f"{MIN_DECAY_INTERVAL},64",
+             "--temps", "60,110.5"]
+        )
+        assert args.intervals == (MIN_DECAY_INTERVAL, 64)
+        assert args.temps == (60.0, 110.5)
+
+    def test_technique_choices_are_the_runspec_names(self):
+        from repro.exec import RunSpec
+        from repro.leakctl.base import TECHNIQUE_NAMES
+
+        for name in TECHNIQUE_NAMES:
+            args = build_parser().parse_args(["run", "gcc", name])
+            assert RunSpec(benchmark=args.benchmark, technique=args.technique)

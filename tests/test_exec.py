@@ -118,8 +118,6 @@ class TestRunSpec:
             RunSpec(benchmark="gcc", technique="drowsy", policy="eager")
         with pytest.raises(ValueError, match="target"):
             RunSpec(benchmark="gcc", technique="drowsy", target="l3")
-        with pytest.raises(ValueError, match="engine"):
-            RunSpec(benchmark="gcc", technique="drowsy", engine="warp")
 
     def test_execute_matches_figure_point(self):
         from repro.experiments.runner import figure_point, technique_by_name

@@ -279,16 +279,6 @@ class TestExecStoreHashStability:
         )
 
 
-class TestEngineHashSeparation:
-    """The ``engine`` field salts :meth:`RunSpec.content_hash`, so a
-    fast-engine point never shares a store slot with its cycle reference."""
-
-    def test_engine_field_separates_hashes(self):
-        ooo = RunSpec(benchmark="gcc", technique="drowsy")
-        fast = RunSpec(benchmark="gcc", technique="drowsy", engine="fast")
-        assert ooo.content_hash() != fast.content_hash()
-
-
 class TestScalarBatchEquivalenceMatrix:
     """The vectorised batch kernels vs the scalar reference, exhaustively.
 
@@ -399,21 +389,6 @@ class TestScalarBatchEquivalenceMatrix:
             scalar = gidl_multiplier(node, rbb)
             vec = float(batch.gidl_multiplier(node, rbb))
             assert vec == pytest.approx(scalar, rel=self.RTOL)
-
-    def test_grid_matches_pointwise_scalar(self):
-        """The 2-D grid evaluator agrees with per-point scalar calls."""
-        from repro.leakage import batch
-        from repro.leakage.bsim3 import unit_leakage
-        from repro.tech.nodes import get_node
-
-        node = get_node("70nm")
-        temps = [300.0, 353.0, 383.0]
-        vdds = [0.7, 0.9, 1.0]
-        grid = batch.unit_leakage_grid(node, temps_k=temps, vdds=vdds)
-        for i, t in enumerate(temps):
-            for j, v in enumerate(vdds):
-                scalar = unit_leakage(node, vdd=v, temp_k=t)
-                assert grid[i, j] == pytest.approx(scalar, rel=1e-12)
 
 
 class TestAnalyticLayerPin:

@@ -76,7 +76,6 @@ class TestContentHash:
             dataclasses.replace(spec, seed=2),
             dataclasses.replace(spec, vdd=0.7),
             dataclasses.replace(spec, target="l1i"),
-            dataclasses.replace(spec, engine="fast"),
         ):
             key = variant.content_hash()
             assert key not in seen, variant

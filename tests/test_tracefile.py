@@ -136,4 +136,6 @@ class TestCLIGenTrace:
     def test_gen_trace_unknown_benchmark(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["gen-trace", "nope", str(tmp_path / "x")]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["gen-trace", "nope", str(tmp_path / "x")])
+        assert err.value.code == 2
